@@ -21,7 +21,7 @@ from .boxes import (
     is_transverse_family,
     parse_box_csv,
 )
-from .errors import DagxError
+from .errors import DagxError, InvalidParamsError
 from .generators import ExtremalSpec, extremal_for, random_dag, turan_dag
 from .graph import format_edge_list, level_partition, parse_edge_list
 from .harness import CLAIMS, DEFAULT_SEED, verify_claim
@@ -172,7 +172,10 @@ def verify(
     """Re-check a claim over its range; JSON report on stdout, exit 0 iff clean."""
     cap = os.environ.get("DAGX_MAX_N")
     if cap is not None:
-        cap = int(cap)
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise InvalidParamsError(f"DAGX_MAX_N must be an integer, got {cap!r}") from None
         click.echo(f"note: DAGX_MAX_N caps enumeration at n = {cap}", err=True)
     if limit is not None:
         click.echo(f"warning: enumeration ceiling overridden to {limit}; expect long runtimes", err=True)

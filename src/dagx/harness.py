@@ -60,12 +60,20 @@ from .predicates import (
 DEFAULT_SEED = 271828
 DEFAULT_ORDER_CAP = 100_000
 
-# Scan ceilings: levels-and-edge-count checks stay cheap through n = 7
-# (2^21 graphs); predicate and oracle sweeps stop at n = 6.
+# Scan ceilings. Levels and edge counts come from the whole-block kernel
+# below: the turan sweep, which needs nothing else, runs through n = 8
+# (2^28 graphs, about half a minute on one core); the class-bound sweep,
+# which also builds and tests gated graphs, stops at n = 7. Predicate and
+# oracle sweeps build a Dag per mask and stop at n = 6.
+MAX_TURAN_VERTICES = 8
 MAX_SCAN_VERTICES = 7
 MAX_PREDICATE_VERTICES = 6
 
 _VIOLATION_SAMPLE = 20
+
+# Masks per call of the levels kernel: large enough to amortise numpy's
+# per-call cost, small enough that its int8 work arrays stay in cache.
+_LEVEL_BLOCK = 8192
 
 # Known 5-vertex separating example: the chain 0->1->2->3->4 with chords
 # 0->3 and 1->4. The span of (0, 4) sorted is the full chain (a path), so
@@ -144,36 +152,60 @@ def _dag_from_mask(n: int, mask: int) -> Dag:
     return Dag._unchecked(n, frozenset(pairs[i] for i in bits(mask)))
 
 
-def _graph_violation(n: int, mask: int, detail: str) -> dict:
-    return {"graph": format_edge_list(_dag_from_mask(n, mask)), "detail": detail}
+def _merge_violations(violations: list[dict], part: dict, n: int | None = None) -> int:
+    """List a shard's sampled violations while room is left; return how many go unlisted.
+
+    Sample keys are enumeration masks when ``n`` is given, edge-list text
+    otherwise.
+    """
+    room = max(0, _VIOLATION_SAMPLE - len(violations))
+    listed = part["violations"][:room]
+    for key, detail in listed:
+        graph = key if n is None else format_edge_list(_dag_from_mask(n, key))
+        violations.append({"graph": graph, "detail": detail})
+    return part["violation_count"] - len(listed)
 
 
-def _levels_from_mask(n: int, mask: int, tgt: list[int], srcbit: list[int]) -> tuple[int, int]:
-    """(longest path length, edge count) for one enumerated mask."""
-    preds = [0] * n
-    mm = mask
-    while mm:
-        low = mm & -mm
-        i = low.bit_length() - 1
-        preds[tgt[i]] |= srcbit[i]
-        mm ^= low
-    lev = [0] * n
-    ell = 0
-    for v in range(1, n):
-        pv = preds[v]
-        if pv:
-            best = 0
-            while pv:
-                low = pv & -pv
-                lu = lev[low.bit_length() - 1]
-                if lu > best:
-                    best = lu
-                pv ^= low
-            lv = best + 1
-            lev[v] = lv
-            if lv > ell:
-                ell = lv
-    return ell, mask.bit_count()
+def _note_overflow(violations: list[dict], overflow: int) -> None:
+    if overflow:
+        violations.append({"graph": None, "detail": f"{overflow} further violations not listed"})
+
+
+def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
+
+    Pair i = (u, v) of ``pair_table(n)`` is edge bit i. Walking the pairs
+    in that lexicographic order, every edge into u comes before any edge
+    out of u, so ``lev[u]`` is final when pair (u, v) relaxes
+    ``lev[v] = max(lev[v], bit_i * (lev[u] + 1))``. Bits above the highest
+    bit in which start and stop - 1 differ are the same for the whole
+    block, so their pairs are skipped or relaxed unconditionally. int8
+    holds every level and edge count up to n = 16, past any n whose
+    enumeration could finish.
+    """
+    pairs = pair_table(n)
+    size = stop - start
+    k = min(len(pairs), (start ^ (stop - 1)).bit_length())
+    raw = np.arange(start, stop, dtype="<u8").view(np.uint8).reshape(size, 8)[:, : -(-k // 8)]
+    bit = np.unpackbits(np.ascontiguousarray(raw.T), axis=0, count=k, bitorder="little").view(np.int8)
+    lev = np.zeros((n, size), dtype=np.int8)
+    step = np.empty(size, dtype=np.int8)
+    for i, (u, v) in enumerate(pairs):
+        if i < k:
+            np.add(lev[u], 1, out=step)
+            np.multiply(step, bit[i], out=step)
+            np.maximum(lev[v], step, out=lev[v])
+        elif start >> i & 1:
+            np.add(lev[u], 1, out=step)
+            np.maximum(lev[v], step, out=lev[v])
+    edges = bit.sum(axis=0, dtype=np.int8)
+    edges += (start >> k).bit_count()
+    return lev.max(axis=0), edges
+
+
+def _blocks(start: int, stop: int):
+    for a in range(start, stop, _LEVEL_BLOCK):
+        yield a, min(a + _LEVEL_BLOCK, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -181,33 +213,28 @@ def _levels_from_mask(n: int, mask: int, tgt: list[int], srcbit: list[int]) -> t
 
 
 def _scan_turan(n: int, start: int, stop: int) -> dict:
-    pairs = pair_table(n)
-    tgt = [v for _, v in pairs]
-    srcbit = [1 << u for u, _ in pairs]
-    bound = [turan_graph_edges(n, lv + 1) for lv in range(n)]
-    max_edges = [-1] * n
+    bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
+    seen = np.zeros((n, comb(n, 2) + 1), dtype=bool)
     violations: list[tuple[int, str]] = []
     violation_count = 0
-    for mask in range(start, stop):
-        ell, e = _levels_from_mask(n, mask, tgt, srcbit)
-        if e > max_edges[ell]:
-            max_edges[ell] = e
-        if e > bound[ell]:
-            violation_count += 1
-            if len(violations) < _VIOLATION_SAMPLE:
-                violations.append(
-                    (mask, f"{e} edges with longest path {ell}, above t({n},{ell + 1}) = {bound[ell]}")
-                )
+    for a, b in _blocks(start, stop):
+        ell, edges = _levels_chunk(n, a, b)
+        seen[ell, edges] = True
+        over = np.flatnonzero(edges > bound[ell])
+        violation_count += over.size
+        for j in over[: _VIOLATION_SAMPLE - len(violations)].tolist():
+            lv, e = int(ell[j]), int(edges[j])
+            violations.append((a + j, f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound[lv]}"))
     return {
         "checked": stop - start,
-        "max_edges": max_edges,
+        "max_edges": [int(row.nonzero()[0][-1]) if row.any() else -1 for row in seen],
         "violations": violations,
         "violation_count": violation_count,
     }
 
 
 def verify_turan_bound(
-    max_n: int = 7, *, workers: int = 1, limit: int = MAX_SCAN_VERTICES
+    max_n: int = 7, *, workers: int = 1, limit: int = MAX_TURAN_VERTICES
 ) -> VerificationReport:
     """Every enumerated DAG satisfies edges <= t(n, ell + 1), with equality attained."""
     _require_range("turan", max_n, limit)
@@ -222,10 +249,7 @@ def verify_turan_bound(
         max_edges = [-1] * n
         for part in parts:
             checked += part["checked"]
-            overflow += part["violation_count"] - len(part["violations"])
-            for mask, detail in part["violations"]:
-                if len(violations) < _VIOLATION_SAMPLE:
-                    violations.append(_graph_violation(n, mask, detail))
+            overflow += _merge_violations(violations, part, n)
             for lv, e in enumerate(part["max_edges"]):
                 if e > max_edges[lv]:
                     max_edges[lv] = e
@@ -244,8 +268,7 @@ def verify_turan_bound(
                         "detail": f"turan_dag({n},{lv + 1}) should attain {bound} edges at ell={lv}",
                     }
                 )
-    if overflow:
-        violations.append({"graph": None, "detail": f"{overflow} further violations not listed"})
+    _note_overflow(violations, overflow)
     return VerificationReport(
         claim="turan-bound",
         range=f"all forward-labeled DAGs, n <= {max_n}",
@@ -267,9 +290,6 @@ _CLASS_PREDICATES = {
 
 
 def _scan_class_bound(n: int, start: int, stop: int, klass: str) -> dict:
-    pairs = pair_table(n)
-    tgt = [v for _, v in pairs]
-    srcbit = [1 << u for u, _ in pairs]
     bound = [0] * n
     for lv in range(1, n):
         bound[lv] = reduced_dag_edge_bound(n, lv)
@@ -277,25 +297,30 @@ def _scan_class_bound(n: int, start: int, stop: int, klass: str) -> dict:
     max_edges = [-1] * n
     violations: list[tuple[int, str]] = []
     violation_count = 0
-    for mask in range(start, stop):
-        ell, e = _levels_from_mask(n, mask, tgt, srcbit)
-        if ell == 0:
-            continue
+    for a, b in _blocks(start, stop):
+        ell, edges = _levels_chunk(n, a, b)
         # Class membership only matters for graphs that could beat the
         # running class maximum or the bound itself; everything below is
-        # covered by monotonicity.
-        if e <= max_edges[ell] and e <= bound[ell]:
-            continue
-        if not predicate(_dag_from_mask(n, mask)):
-            continue
-        if e > bound[ell]:
-            violation_count += 1
-            if len(violations) < _VIOLATION_SAMPLE:
-                violations.append(
-                    (mask, f"class {klass!r}: {e} edges at ell={ell}, above bound {bound[ell]}")
-                )
-        if e > max_edges[ell]:
-            max_edges[ell] = e
+        # covered by monotonicity. The maximum only grows inside a block,
+        # so its value at the block start gates a superset, which the
+        # scalar test below narrows in index order. Edgeless graphs
+        # (ell = 0) never pass the gate.
+        gate = np.array([127] + [min(max_edges[lv], bound[lv]) for lv in range(1, n)], dtype=np.int8)
+        for j in np.flatnonzero(edges > gate[ell]).tolist():
+            lv, e = int(ell[j]), int(edges[j])
+            if e <= max_edges[lv] and e <= bound[lv]:
+                continue
+            mask = a + j
+            if not predicate(_dag_from_mask(n, mask)):
+                continue
+            if e > bound[lv]:
+                violation_count += 1
+                if len(violations) < _VIOLATION_SAMPLE:
+                    violations.append(
+                        (mask, f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}")
+                    )
+            if e > max_edges[lv]:
+                max_edges[lv] = e
     return {
         "checked": stop - start,
         "max_edges": max_edges,
@@ -334,10 +359,7 @@ def verify_theorem_bound(
         max_edges = [-1] * n
         for part in parts:
             checked += part["checked"]
-            overflow += part["violation_count"] - len(part["violations"])
-            for mask, detail in part["violations"]:
-                if len(violations) < _VIOLATION_SAMPLE:
-                    violations.append(_graph_violation(n, mask, detail))
+            overflow += _merge_violations(violations, part, n)
             for lv, e in enumerate(part["max_edges"]):
                 if e > max_edges[lv]:
                     max_edges[lv] = e
@@ -368,8 +390,7 @@ def verify_theorem_bound(
                         "detail": f"generated instance at n={n}, ell={lv} should attain {bound} edges inside the class",
                     }
                 )
-    if overflow:
-        violations.append({"graph": None, "detail": f"{overflow} further violations not listed"})
+    _note_overflow(violations, overflow)
     return VerificationReport(
         claim=f"theorem-bound:{klass}",
         range=f"all forward-labeled DAGs, n <= {max_n}",
@@ -408,13 +429,18 @@ def _scan_implications(n: int, start: int, stop: int, path_cap: int, order_cap: 
             violations.append((mask, f"reduced fast={rd} disagrees with brute force"))
         if is_strongly_reduced_bruteforce(g, order_cap, path_cap) != st:
             violations.append((mask, f"strongly reduced fast={st} disagrees with brute force"))
-    return {"checked": stop - start, "violations": violations[:_VIOLATION_SAMPLE]}
+    return {
+        "checked": stop - start,
+        "violations": violations[:_VIOLATION_SAMPLE],
+        "violation_count": len(violations),
+    }
 
 
 def _scan_random_agreement(
     t_start: int, t_stop: int, max_n: int, seed: int, path_cap: int, order_cap: int
 ) -> dict:
     violations: list[tuple[str, str]] = []
+    violation_count = 0
     for t in range(t_start, t_stop):
         rng = np.random.default_rng((seed, t))
         n = int(rng.integers(2, max_n + 1))
@@ -432,9 +458,11 @@ def _scan_random_agreement(
             problems.append("reduced oracle disagrees")
         if is_strongly_reduced_bruteforce(g, order_cap, path_cap) != st:
             problems.append("strongly oracle disagrees")
-        if problems and len(violations) < _VIOLATION_SAMPLE:
-            violations.append((format_edge_list(g), f"trial {t}: " + "; ".join(problems)))
-    return {"checked": t_stop - t_start, "violations": violations}
+        if problems:
+            violation_count += 1
+            if len(violations) < _VIOLATION_SAMPLE:
+                violations.append((format_edge_list(g), f"trial {t}: " + "; ".join(problems)))
+    return {"checked": t_stop - t_start, "violations": violations, "violation_count": violation_count}
 
 
 def verify_implications(
@@ -450,8 +478,13 @@ def verify_implications(
 ) -> VerificationReport:
     """extremely => strongly => reduced, and fast == brute force, everywhere tested."""
     _require_range("implications", max_n, limit)
+    if random_trials < 0:
+        raise InvalidParamsError(f"implications: need random_trials >= 0, got {random_trials}")
+    if random_trials and random_max_n < 2:
+        raise InvalidParamsError(f"implications: need random_max_n >= 2, got {random_max_n}")
     t0 = time.perf_counter()
     checked = 0
+    overflow = 0
     violations: list[dict] = []
     for n in range(1, max_n + 1):
         shards = _shard_ranges(dag_count(n), workers)
@@ -460,9 +493,7 @@ def verify_implications(
         )
         for part in parts:
             checked += part["checked"]
-            for mask, detail in part["violations"]:
-                if len(violations) < _VIOLATION_SAMPLE:
-                    violations.append(_graph_violation(n, mask, detail))
+            overflow += _merge_violations(violations, part, n)
     if random_trials:
         shards = _shard_ranges(random_trials, workers)
         parts = _map_shards(
@@ -472,9 +503,8 @@ def verify_implications(
         )
         for part in parts:
             checked += part["checked"]
-            for graph_text, detail in part["violations"]:
-                if len(violations) < _VIOLATION_SAMPLE:
-                    violations.append({"graph": graph_text, "detail": detail})
+            overflow += _merge_violations(violations, part)
+    _note_overflow(violations, overflow)
     return VerificationReport(
         claim="implications",
         range=f"all forward-labeled DAGs n <= {max_n}, plus {random_trials} random DAGs n <= {random_max_n}",
@@ -533,6 +563,7 @@ def _scan_equiv(n: int, start: int, stop: int, path_cap: int) -> dict:
         "checked": stop - start,
         "transitive": transitive_count,
         "violations": violations[:_VIOLATION_SAMPLE],
+        "violation_count": len(violations),
     }
 
 
@@ -548,6 +579,7 @@ def verify_equivalence_transitive(
     t0 = time.perf_counter()
     checked = 0
     transitive_count = 0
+    overflow = 0
     violations: list[dict] = []
     for n in range(1, max_n + 1):
         shards = _shard_ranges(dag_count(n), workers)
@@ -555,9 +587,8 @@ def verify_equivalence_transitive(
         for part in parts:
             checked += part["checked"]
             transitive_count += part["transitive"]
-            for mask, detail in part["violations"]:
-                if len(violations) < _VIOLATION_SAMPLE:
-                    violations.append(_graph_violation(n, mask, detail))
+            overflow += _merge_violations(violations, part, n)
+    _note_overflow(violations, overflow)
     return VerificationReport(
         claim="equiv-transitive",
         range=f"all forward-labeled DAGs, n <= {max_n}",
@@ -598,6 +629,7 @@ def _scan_closure(n: int, start: int, stop: int, path_cap: int) -> dict:
         "checked": stop - start,
         "reduced": reduced_count,
         "violations": violations[:_VIOLATION_SAMPLE],
+        "violation_count": len(violations),
     }
 
 
@@ -613,6 +645,7 @@ def verify_closure(
     t0 = time.perf_counter()
     checked = 0
     reduced_count = 0
+    overflow = 0
     violations: list[dict] = []
     for n in range(1, max_n + 1):
         shards = _shard_ranges(dag_count(n), workers)
@@ -620,9 +653,8 @@ def verify_closure(
         for part in parts:
             checked += part["checked"]
             reduced_count += part["reduced"]
-            for mask, detail in part["violations"]:
-                if len(violations) < _VIOLATION_SAMPLE:
-                    violations.append(_graph_violation(n, mask, detail))
+            overflow += _merge_violations(violations, part, n)
+    _note_overflow(violations, overflow)
     return VerificationReport(
         claim="closure",
         range=f"all forward-labeled DAGs, n <= {max_n}",
@@ -838,8 +870,11 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> Verificati
     """Transverse families give extremely reduced transitive graphs; common
     ancestor plus common descendant forces intersecting boxes; the extremal
     family reproduces the extremal graph exactly."""
+    if trials < 0:
+        raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")
     t0 = time.perf_counter()
     checked = 0
+    overflow = 0
     violations: list[dict] = []
 
     for t in range(trials):
@@ -854,6 +889,8 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> Verificati
                         "detail": f"transverse trial {t}: graph not extremely reduced + transitive",
                     }
                 )
+            else:
+                overflow += 1
 
     for t in range(trials):
         rng = np.random.default_rng((seed, 1, t))
@@ -873,6 +910,8 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> Verificati
                                 "detail": f"general trial {t}: boxes {family.ids[i]},{family.ids[j]} share ancestor and descendant but do not intersect",
                             }
                         )
+                    else:
+                        overflow += 1
 
     extremal_checks = 0
     for r in range(1, 6):
@@ -896,7 +935,7 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> Verificati
                             "detail": f"{spec}: intersection graph differs from the layered construction",
                         }
                     )
-
+    _note_overflow(violations, overflow)
     return VerificationReport(
         claim="box-properties",
         range=f"{trials} transverse + {trials} general random families + {extremal_checks} extremal specs",
@@ -942,7 +981,7 @@ def verify_claim(
         return n, lim
 
     if claim == "turan":
-        n, lim = pick(7, MAX_SCAN_VERTICES)
+        n, lim = pick(7, MAX_TURAN_VERTICES)
         return [verify_turan_bound(n, workers=workers, limit=lim)]
     if claim == "theorem":
         n, lim = pick(6, MAX_SCAN_VERTICES)

@@ -162,3 +162,16 @@ def test_criterion_9_cli_round_trips_and_verify_all(capsys, tmp_path):
     assert elapsed < 30, f"verify all --max-n 5 took {elapsed:.0f}s"
     passed(9, f"generate/parse/analyze round trips succeed; verify all --max-n 5 exits 0 in {elapsed:.1f}s"
     )
+
+
+def test_criterion_10_turan_bound_exhaustive_n8():
+    t0 = time.perf_counter()
+    report = verify_turan_bound(8, workers=1, limit=8)
+    elapsed = time.perf_counter() - t0
+    assert report.violations == []
+    assert report.checked == sum(1 << comb(n, 2) for n in range(1, 9)) == 270_566_475
+    observed = report.params["observed_max"]
+    for ell in range(8):
+        assert observed[f"8,{ell}"] == turan_graph_edges(8, ell + 1)
+    assert elapsed < 120, f"single-threaded n=8 sweep took {elapsed:.0f}s"
+    passed(10, f"edges <= t(n, ell+1) on all {report.checked} DAGs, n <= 8, in {elapsed:.1f}s")

@@ -188,6 +188,22 @@ class TestVerify:
             "theorem-bound:reduced",
         ]
 
+    def test_negative_rand_trials_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "implications", "--max-n", "3", "--rand-trials", "-5")
+        assert code == 2
+        assert out == "" and "random_trials" in err
+
+    def test_negative_box_trials_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "boxes", "--trials", "-5")
+        assert code == 2
+        assert out == "" and "trials" in err
+
+    def test_non_integer_env_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("DAGX_MAX_N", "abc")
+        code, _, err = run(capsys, "verify", "turan")
+        assert code == 2
+        assert "DAGX_MAX_N" in err and "internal error" not in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "does-not-exist.txt")
         assert code == 2

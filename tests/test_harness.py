@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import dagx.harness as harness
 from dagx import (
     Dag,
+    InvalidParamsError,
     LimitExceededError,
     UnknownClaimError,
     VerificationReport,
@@ -18,7 +20,9 @@ from dagx import (
     verify_theorem_bound,
     verify_turan_bound,
 )
-from dagx.harness import CHORDED_CHAIN_EDGES
+from dagx.generators import dag_count, dag_from_index
+from dagx.graph import longest_path_length
+from dagx.harness import _LEVEL_BLOCK, CHORDED_CHAIN_EDGES, _levels_chunk
 
 from conftest import CHORDED_CHAIN
 
@@ -44,6 +48,35 @@ class TestReportShape:
         assert report.ok and report.violations == []
 
 
+def assert_levels_match_oracle(n: int, start: int, stop: int) -> None:
+    ell, edges = _levels_chunk(n, start, stop)
+    assert ell.shape == edges.shape == (stop - start,)
+    for j, mask in enumerate(range(start, stop)):
+        g = dag_from_index(n, mask)
+        assert (int(ell[j]), int(edges[j])) == (longest_path_length(g), len(g.edges)), (n, mask)
+
+
+class TestLevelsKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_mask(self, n):
+        assert_levels_match_oracle(n, 0, dag_count(n))
+
+    @pytest.mark.parametrize(
+        "n, start, stop",
+        [
+            (6, _LEVEL_BLOCK - 37, _LEVEL_BLOCK + 91),  # straddles a block boundary
+            (6, 2 * _LEVEL_BLOCK + 5, 3 * _LEVEL_BLOCK + 5),  # one unaligned full block
+            (6, dag_count(6) - 300, dag_count(6)),  # the last masks, every bit set at the end
+            (7, 5 * _LEVEL_BLOCK + 17, 6 * _LEVEL_BLOCK + 200),
+            (7, (1 << 20) - 150, (1 << 20) + 150),  # the top bit flips inside the range
+            (7, dag_count(7) - 300, dag_count(7)),  # fixed high bits all set
+            (7, 1_234_567, 1_234_568),  # a single mask, every bit fixed
+        ],
+    )
+    def test_unaligned_ranges(self, n, start, stop):
+        assert_levels_match_oracle(n, start, stop)
+
+
 class TestTuranClaim:
     def test_counts(self):
         report = verify_turan_bound(5)
@@ -59,7 +92,11 @@ class TestTuranClaim:
 
     def test_limit(self):
         with pytest.raises(LimitExceededError):
-            verify_turan_bound(8)
+            verify_turan_bound(9)
+
+    def test_theorem_ceiling_unchanged(self):
+        with pytest.raises(LimitExceededError):
+            verify_theorem_bound(8)
 
 
 class TestTheoremClaim:
@@ -89,6 +126,10 @@ class TestImplicationsClaim:
         report = verify_implications(4, random_trials=100)
         assert report.ok
         assert report.checked == 75 + 100
+
+    def test_random_max_n_below_two(self):
+        with pytest.raises(InvalidParamsError):
+            verify_implications(3, random_trials=5, random_max_n=1)
 
     def test_random_trials_deterministic(self):
         a = stripped(verify_implications(3, random_trials=50, seed=9))
@@ -166,8 +207,10 @@ class TestWorkers:
             lambda w: verify_equivalence_transitive(5, workers=w),
             lambda w: verify_closure(5, workers=w),
             lambda w: find_separations(5, workers=w),
+            lambda w: verify_turan_bound(7, workers=w),
+            lambda w: verify_theorem_bound(6, "reduced", workers=w),
         ],
-        ids=["turan", "theorem", "implications", "equiv", "closure", "separations"],
+        ids=["turan", "theorem", "implications", "equiv", "closure", "separations", "turan-n7", "theorem-n6"],
     )
     def test_sharded_reports_identical(self, run):
         base = stripped(run(1))
@@ -196,3 +239,49 @@ class TestVerifyClaim:
     def test_limit_propagates(self):
         with pytest.raises(LimitExceededError):
             verify_claim("closure", max_n=5, limit=4)
+
+
+def overflow_detail(report: VerificationReport) -> str:
+    return report.violations[-1]["detail"]
+
+
+class TestViolationOverflow:
+    """Violations past the listed sample are counted, never dropped."""
+
+    def test_turan_counts_every_violation(self, monkeypatch):
+        # With every bound at 0, each of the 71 graphs with an edge (n <= 4)
+        # violates; per-n summary entries share the listed sample.
+        monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: 0)
+        report = verify_turan_bound(4)
+        listed = sum("edges with longest path" in v["detail"] for v in report.violations)
+        further = overflow_detail(report)
+        assert further.endswith(" further violations not listed")
+        assert listed + int(further.split()[0]) == 71
+        assert stripped(verify_turan_bound(4, workers=3)) == stripped(report)
+
+    @pytest.mark.parametrize(
+        "target, wrong, run, total",
+        [
+            # Oracle negated: every one of the 75 graphs disagrees once.
+            ("is_reduced_bruteforce", "negated", lambda: verify_implications(4, random_trials=0), 75),
+            # One exhaustive graph plus 50 random trials, each one disagreement.
+            ("is_reduced_bruteforce", "negated", lambda: verify_implications(1, random_trials=50), 51),
+            # Extremely reducedness negated: all 407 transitive graphs disagree.
+            ("is_extremely_reduced", "negated", lambda: verify_equivalence_transitive(5), 407),
+            # No closure is transitive: every graph on n <= 4 fails once.
+            ("is_transitive", "false", lambda: verify_closure(4), 75),
+            # Every transverse family's graph now fails the transitivity check.
+            ("is_transitive", "false", lambda: verify_box_props(25, seed=3), 25),
+        ],
+        ids=["implications", "random-agreement", "equiv", "closure", "boxes"],
+    )
+    def test_predicate_scans(self, monkeypatch, target, wrong, run, total):
+        real = getattr(harness, target)
+        if wrong == "negated":
+            monkeypatch.setattr(harness, target, lambda *args: not real(*args))
+        else:
+            monkeypatch.setattr(harness, target, lambda *args: False)
+        report = run()
+        assert len(report.violations) == 21
+        assert overflow_detail(report) == f"{total - 20} further violations not listed"
+
