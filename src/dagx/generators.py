@@ -37,12 +37,17 @@ def dag_count(n: int) -> int:
     return 1 << comb(n, 2)
 
 
+def _dag_at(n: int, index: int) -> Dag:
+    """The enumerated graph at ``index``, unchecked: the caller keeps 0 <= index < dag_count(n)."""
+    pairs = pair_table(n)
+    return Dag._unchecked(n, frozenset(pairs[i] for i in bits(index)))
+
+
 def dag_from_index(n: int, index: int) -> Dag:
     """The enumerated graph whose edge set is the bit pattern of ``index``."""
-    pairs = pair_table(n)
     if not 0 <= index < dag_count(n):
         raise InvalidParamsError(f"index {index} outside 0..{dag_count(n) - 1}")
-    return Dag._unchecked(n, frozenset(pairs[i] for i in bits(index)))
+    return _dag_at(n, index)
 
 
 def enumerate_dags(
@@ -59,11 +64,10 @@ def enumerate_dags(
     """
     if n > max_vertices:
         raise LimitExceededError(f"enumeration of n={n} exceeds the ceiling {max_vertices}")
-    pairs = pair_table(n)
     total = dag_count(n)
     stop = total if stop is None else min(stop, total)
     for index in range(max(start, 0), stop):
-        yield Dag._unchecked(n, frozenset(pairs[i] for i in bits(index)))
+        yield _dag_at(n, index)
 
 
 def turan_dag(n: int, k: int) -> Dag:

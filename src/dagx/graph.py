@@ -31,6 +31,11 @@ TopoOrder = tuple[int, ...]
 
 DEFAULT_ORDER_CAP = 100_000
 
+# Largest vertex count an edge-list header may declare. A Dag allocates
+# per-vertex rows up front, so an unchecked header such as n 10000000000
+# would exhaust memory before any edge is read.
+MAX_EDGE_LIST_VERTICES = 65_536
+
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
@@ -306,6 +311,8 @@ def parse_edge_list(text: str) -> Dag:
 
     First significant line is ``n <count>``, then one ``u v`` pair per
     line, 0-indexed, whitespace separated. ``#`` starts a comment line.
+    A header above :data:`MAX_EDGE_LIST_VERTICES` is rejected before
+    anything is allocated.
     """
     n: int | None = None
     pairs: list[Edge] = []
@@ -321,6 +328,8 @@ def parse_edge_list(text: str) -> Dag:
                 n = int(fields[1])
             except ValueError:
                 raise ParseError(f"vertex count is not an integer: {fields[1]!r}", lineno) from None
+            if n > MAX_EDGE_LIST_VERTICES:
+                raise ParseError(f"vertex count {n} exceeds the limit {MAX_EDGE_LIST_VERTICES}", lineno)
             continue
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)

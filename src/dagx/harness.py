@@ -16,17 +16,21 @@ held everywhere in the stated range.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice, product
 from math import comb
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .bounds import reduced_dag_edge_bound, turan_graph_edges
 from .boxes import (
+    BoxFamily,
     boxes_intersect,
     directed_intersection_graph,
     extremal_box_family,
@@ -38,6 +42,7 @@ from .boxes import (
 from .errors import InvalidParamsError, LimitExceededError, UnknownClaimError
 from .generators import (
     ExtremalSpec,
+    _dag_at,
     dag_count,
     extremal_dag,
     extremal_for,
@@ -45,7 +50,15 @@ from .generators import (
     random_dag,
     turan_dag,
 )
-from .graph import Dag, bits, format_edge_list, longest_path_length, reach_from_masks, reach_to_masks
+from .graph import (
+    DEFAULT_ORDER_CAP,
+    Dag,
+    bits,
+    format_edge_list,
+    longest_path_length,
+    reach_from_masks,
+    reach_to_masks,
+)
 from .predicates import (
     DEFAULT_PATH_CAP,
     is_extremely_reduced,
@@ -54,11 +67,11 @@ from .predicates import (
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
     is_transitive,
+    succ_masks_transitive,
     transitive_closure,
 )
 
 DEFAULT_SEED = 271828
-DEFAULT_ORDER_CAP = 100_000
 
 # Scan ceilings. Levels and edge counts come from the whole-block kernel
 # below: the turan sweep, which needs nothing else, runs through n = 8
@@ -68,6 +81,9 @@ DEFAULT_ORDER_CAP = 100_000
 MAX_TURAN_VERTICES = 8
 MAX_SCAN_VERTICES = 7
 MAX_PREDICATE_VERTICES = 6
+# The clique-free maximum is proved by a hitting-set search, not an
+# enumeration; n = 8 takes about 0.6 s on one core of a 2-core x86 box.
+MAX_CLIQUE_VERTICES = 8
 
 _VIOLATION_SAMPLE = 20
 
@@ -80,17 +96,6 @@ _LEVEL_BLOCK = 8192
 # the graph is reduced; the two chord paths 0->1->4 and 0->3->4 union to
 # (0, 1, 3, 4), which is not a path, so it is not strongly reduced.
 CHORDED_CHAIN_EDGES = ((0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4))
-
-CLAIMS = (
-    "turan",
-    "theorem",
-    "implications",
-    "equiv-transitive",
-    "closure",
-    "separations",
-    "boxes",
-    "all",
-)
 
 
 @dataclass
@@ -139,36 +144,102 @@ def _shard_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, total)) for a in range(0, total, step)]
 
 
-def _map_shards(fn: Callable, arg_lists: list[tuple], workers: int) -> list:
-    if workers <= 1 or len(arg_lists) <= 1:
-        return [fn(*args) for args in arg_lists]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in arg_lists]
-        return [f.result() for f in futures]
+def _graph_entry(g: Dag | None, detail: str) -> dict:
+    return {"graph": None if g is None else format_edge_list(g), "detail": detail}
 
 
-def _dag_from_mask(n: int, mask: int) -> Dag:
-    pairs = pair_table(n)
-    return Dag._unchecked(n, frozenset(pairs[i] for i in bits(mask)))
+def _box_entry(family: BoxFamily, detail: str) -> dict:
+    return {"boxes": format_box_csv(family), "detail": detail}
 
 
-def _merge_violations(violations: list[dict], part: dict, n: int | None = None) -> int:
-    """List a shard's sampled violations while room is left; return how many go unlisted.
+@dataclass
+class _Sample:
+    """The violations a report lists: per-graph entries sampled, summary entries kept.
 
-    Sample keys are enumeration masks when ``n`` is given, edge-list text
-    otherwise.
+    Every per-graph violation is counted, but only the first
+    ``_VIOLATION_SAMPLE`` are listed; summary entries (``note``) take no
+    slot. Shards keep their own samples and merge in shard order, so the
+    listed entries and the count are the same for any worker count.
     """
-    room = max(0, _VIOLATION_SAMPLE - len(violations))
-    listed = part["violations"][:room]
-    for key, detail in listed:
-        graph = key if n is None else format_edge_list(_dag_from_mask(n, key))
-        violations.append({"graph": graph, "detail": detail})
-    return part["violation_count"] - len(listed)
+
+    entries: list[dict] = field(default_factory=list)
+    listed: int = 0
+    count: int = 0
+
+    def extend(self, count: int, entries: Iterable[dict]) -> None:
+        """Count ``count`` violations; list their entries, drawn lazily, while room is left."""
+        taken = list(islice(entries, _VIOLATION_SAMPLE - self.listed))
+        self.entries += taken
+        self.listed += len(taken)
+        self.count += count
+
+    def add(self, entry: dict) -> None:
+        self.extend(1, (entry,))
+
+    def note(self, entry: dict) -> None:
+        self.entries.append(entry)
+
+    def violations(self) -> list[dict]:
+        unlisted = self.count - self.listed
+        further = [_graph_entry(None, f"{unlisted} further violations not listed")] if unlisted else []
+        return self.entries + further
 
 
-def _note_overflow(violations: list[dict], overflow: int) -> None:
-    if overflow:
-        violations.append({"graph": None, "detail": f"{overflow} further violations not listed"})
+class _Sweep(ExitStack):
+    """One claim's sweep: sharding, one worker pool, merged counts and sample, the report.
+
+    ``scan(*args, start, stop)`` checks the indices start..stop-1 and
+    returns a dict with ``checked``, a ``sample`` of its violations and
+    any claim-specific counts. A range is cut into ``workers`` shards
+    whatever the machine, so merged reports are identical for every
+    worker count; the shards run in one pool, opened on first use, of at
+    most one process per CPU.
+    """
+
+    def __init__(self, workers: int):
+        super().__init__()
+        self.workers = workers
+        self.checked = 0
+        self.sample = _Sample()
+        self._pool: ProcessPoolExecutor | None = None
+        self._t0 = time.perf_counter()
+
+    def run(self, scan: Callable[..., dict], total: int, *args) -> list[dict]:
+        """Scan the index range 0..total-1 shard by shard; merge and return the parts."""
+        shards = _shard_ranges(total, self.workers)
+        processes = min(self.workers, len(os.sched_getaffinity(0)))
+        if processes <= 1 or len(shards) <= 1:
+            parts = [scan(*args, a, b) for a, b in shards]
+        else:
+            if self._pool is None:
+                self._pool = self.enter_context(ProcessPoolExecutor(max_workers=processes))
+            futures = [self._pool.submit(scan, *args, a, b) for a, b in shards]
+            parts = [f.result() for f in futures]
+        for part in parts:
+            self.checked += part["checked"]
+            self.sample.extend(part["sample"].count, part["sample"].entries)
+        return parts
+
+    def over_n(self, scan: Callable[..., dict], max_n: int, *args) -> Iterator[tuple[int, list[dict]]]:
+        """Scan the full enumeration of each n = 1..max_n in turn, as ``scan(n, *args, start, stop)``."""
+        for n in range(1, max_n + 1):
+            yield n, self.run(scan, dag_count(n), n, *args)
+
+    def report(self, claim: str, range_: str, params: dict, witnesses: list[dict] | None = None) -> VerificationReport:
+        return VerificationReport(
+            claim=claim,
+            range=range_,
+            checked=self.checked,
+            violations=self.sample.violations(),
+            witnesses=witnesses or [],
+            elapsed_ms=int((time.perf_counter() - self._t0) * 1000),
+            params=params,
+        )
+
+
+def _max_edges(parts: list[dict]) -> list[int]:
+    """Per-ell edge maximum over the shards of one n."""
+    return [max(column) for column in zip(*(part["max_edges"] for part in parts))]
 
 
 def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,24 +283,24 @@ def _blocks(start: int, stop: int):
 # Turan bound: edges <= t(n, ell + 1) over the full enumeration.
 
 
+def _turan_violation(n: int, mask: int, lv: int, e: int) -> dict:
+    bound = turan_graph_edges(n, lv + 1)
+    return _graph_entry(_dag_at(n, mask), f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound}")
+
+
 def _scan_turan(n: int, start: int, stop: int) -> dict:
     bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
     seen = np.zeros((n, comb(n, 2) + 1), dtype=bool)
-    violations: list[tuple[int, str]] = []
-    violation_count = 0
+    sample = _Sample()
     for a, b in _blocks(start, stop):
         ell, edges = _levels_chunk(n, a, b)
         seen[ell, edges] = True
         over = np.flatnonzero(edges > bound[ell])
-        violation_count += over.size
-        for j in over[: _VIOLATION_SAMPLE - len(violations)].tolist():
-            lv, e = int(ell[j]), int(edges[j])
-            violations.append((a + j, f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound[lv]}"))
+        sample.extend(over.size, (_turan_violation(n, a + j, int(ell[j]), int(edges[j])) for j in over.tolist()))
     return {
         "checked": stop - start,
         "max_edges": [int(row.nonzero()[0][-1]) if row.any() else -1 for row in seen],
-        "violations": violations,
-        "violation_count": violation_count,
+        "sample": sample,
     }
 
 
@@ -238,44 +309,22 @@ def verify_turan_bound(
 ) -> VerificationReport:
     """Every enumerated DAG satisfies edges <= t(n, ell + 1), with equality attained."""
     _require_range("turan", max_n, limit)
-    t0 = time.perf_counter()
-    checked = 0
-    violations: list[dict] = []
     observed: dict[str, int] = {}
-    overflow = 0
-    for n in range(1, max_n + 1):
-        shards = _shard_ranges(dag_count(n), workers)
-        parts = _map_shards(_scan_turan, [(n, a, b) for a, b in shards], workers)
-        max_edges = [-1] * n
-        for part in parts:
-            checked += part["checked"]
-            overflow += _merge_violations(violations, part, n)
-            for lv, e in enumerate(part["max_edges"]):
-                if e > max_edges[lv]:
-                    max_edges[lv] = e
-        for lv in range(n):
-            bound = turan_graph_edges(n, lv + 1)
-            observed[f"{n},{lv}"] = max_edges[lv]
-            if max_edges[lv] != bound:
-                violations.append(
-                    {"graph": None, "detail": f"max over n={n}, ell={lv} is {max_edges[lv]}, expected t({n},{lv + 1}) = {bound}"}
-                )
-            g = turan_dag(n, lv + 1)
-            if len(g.edges) != bound or longest_path_length(g) != lv:
-                violations.append(
-                    {
-                        "graph": format_edge_list(g),
-                        "detail": f"turan_dag({n},{lv + 1}) should attain {bound} edges at ell={lv}",
-                    }
-                )
-    _note_overflow(violations, overflow)
-    return VerificationReport(
-        claim="turan-bound",
-        range=f"all forward-labeled DAGs, n <= {max_n}",
-        checked=checked,
-        violations=violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={"max_n": max_n, "observed_max": observed},
+    with _Sweep(workers) as sweep:
+        for n, parts in sweep.over_n(_scan_turan, max_n):
+            max_edges = _max_edges(parts)
+            for lv in range(n):
+                bound = turan_graph_edges(n, lv + 1)
+                observed[f"{n},{lv}"] = max_edges[lv]
+                if max_edges[lv] != bound:
+                    detail = f"max over n={n}, ell={lv} is {max_edges[lv]}, expected t({n},{lv + 1}) = {bound}"
+                    sweep.sample.note(_graph_entry(None, detail))
+                g = turan_dag(n, lv + 1)
+                if len(g.edges) != bound or longest_path_length(g) != lv:
+                    detail = f"turan_dag({n},{lv + 1}) should attain {bound} edges at ell={lv}"
+                    sweep.sample.note(_graph_entry(g, detail))
+    return sweep.report(
+        "turan-bound", f"all forward-labeled DAGs, n <= {max_n}", {"max_n": max_n, "observed_max": observed}
     )
 
 
@@ -289,14 +338,13 @@ _CLASS_PREDICATES = {
 }
 
 
-def _scan_class_bound(n: int, start: int, stop: int, klass: str) -> dict:
+def _scan_class_bound(n: int, klass: str, start: int, stop: int) -> dict:
     bound = [0] * n
     for lv in range(1, n):
         bound[lv] = reduced_dag_edge_bound(n, lv)
     predicate = _CLASS_PREDICATES[klass]
     max_edges = [-1] * n
-    violations: list[tuple[int, str]] = []
-    violation_count = 0
+    sample = _Sample()
     for a, b in _blocks(start, stop):
         ell, edges = _levels_chunk(n, a, b)
         # Class membership only matters for graphs that could beat the
@@ -310,23 +358,14 @@ def _scan_class_bound(n: int, start: int, stop: int, klass: str) -> dict:
             lv, e = int(ell[j]), int(edges[j])
             if e <= max_edges[lv] and e <= bound[lv]:
                 continue
-            mask = a + j
-            if not predicate(_dag_from_mask(n, mask)):
+            g = _dag_at(n, a + j)
+            if not predicate(g):
                 continue
             if e > bound[lv]:
-                violation_count += 1
-                if len(violations) < _VIOLATION_SAMPLE:
-                    violations.append(
-                        (mask, f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}")
-                    )
+                sample.add(_graph_entry(g, f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}"))
             if e > max_edges[lv]:
                 max_edges[lv] = e
-    return {
-        "checked": stop - start,
-        "max_edges": max_edges,
-        "violations": violations,
-        "violation_count": violation_count,
-    }
+    return {"checked": stop - start, "max_edges": max_edges, "sample": sample}
 
 
 def verify_theorem_bound(
@@ -347,57 +386,37 @@ def verify_theorem_bound(
     if klass not in _CLASS_PREDICATES:
         raise InvalidParamsError(f"unknown class {klass!r}; expected one of {sorted(_CLASS_PREDICATES)}")
     _require_range("theorem", max_n, limit)
-    t0 = time.perf_counter()
-    checked = 0
-    overflow = 0
-    violations: list[dict] = []
     tightness: list[dict] = []
     predicate = _CLASS_PREDICATES[klass]
-    for n in range(1, max_n + 1):
-        shards = _shard_ranges(dag_count(n), workers)
-        parts = _map_shards(_scan_class_bound, [(n, a, b, klass) for a, b in shards], workers)
-        max_edges = [-1] * n
-        for part in parts:
-            checked += part["checked"]
-            overflow += _merge_violations(violations, part, n)
-            for lv, e in enumerate(part["max_edges"]):
-                if e > max_edges[lv]:
-                    max_edges[lv] = e
-        for lv in range(1, n):
-            bound = reduced_dag_edge_bound(n, lv)
-            instance = turan_dag(n, 2) if lv == 1 else extremal_for(n, lv)
-            inst_edges = len(instance.edges)
-            row = {
-                "n": n,
-                "ell": lv,
-                "bound": bound,
-                "class_max": max_edges[lv],
-                "generator_edges": inst_edges,
-            }
-            if lv >= 2:
-                alt = ExtremalSpec(r=(n - lv + 1) // 2, l=lv, s=(n - lv) // 2)
-                row["alt_split_vertices"] = alt.vertex_count
-                row["alt_split_edges"] = alt.edge_count
-            tightness.append(row)
-            if max_edges[lv] != bound:
-                violations.append(
-                    {"graph": None, "detail": f"class max at n={n}, ell={lv} is {max_edges[lv]}, bound is {bound}"}
-                )
-            if inst_edges != bound or longest_path_length(instance) != lv or not predicate(instance):
-                violations.append(
-                    {
-                        "graph": format_edge_list(instance),
-                        "detail": f"generated instance at n={n}, ell={lv} should attain {bound} edges inside the class",
-                    }
-                )
-    _note_overflow(violations, overflow)
-    return VerificationReport(
-        claim=f"theorem-bound:{klass}",
-        range=f"all forward-labeled DAGs, n <= {max_n}",
-        checked=checked,
-        violations=violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={
+    with _Sweep(workers) as sweep:
+        for n, parts in sweep.over_n(_scan_class_bound, max_n, klass):
+            max_edges = _max_edges(parts)
+            for lv in range(1, n):
+                bound = reduced_dag_edge_bound(n, lv)
+                instance = turan_dag(n, 2) if lv == 1 else extremal_for(n, lv)
+                inst_edges = len(instance.edges)
+                row = {
+                    "n": n,
+                    "ell": lv,
+                    "bound": bound,
+                    "class_max": max_edges[lv],
+                    "generator_edges": inst_edges,
+                }
+                if lv >= 2:
+                    alt = ExtremalSpec(r=(n - lv + 1) // 2, l=lv, s=(n - lv) // 2)
+                    row["alt_split_vertices"] = alt.vertex_count
+                    row["alt_split_edges"] = alt.edge_count
+                tightness.append(row)
+                if max_edges[lv] != bound:
+                    detail = f"class max at n={n}, ell={lv} is {max_edges[lv]}, bound is {bound}"
+                    sweep.sample.note(_graph_entry(None, detail))
+                if inst_edges != bound or longest_path_length(instance) != lv or not predicate(instance):
+                    detail = f"generated instance at n={n}, ell={lv} should attain {bound} edges inside the class"
+                    sweep.sample.note(_graph_entry(instance, detail))
+    return sweep.report(
+        f"theorem-bound:{klass}",
+        f"all forward-labeled DAGs, n <= {max_n}",
+        {
             "max_n": max_n,
             "class": klass,
             "tightness": tightness,
@@ -414,55 +433,46 @@ def verify_theorem_bound(
 # Implication chain and fast/brute-force agreement.
 
 
-def _scan_implications(n: int, start: int, stop: int, path_cap: int, order_cap: int) -> dict:
-    violations: list[tuple[int, str]] = []
+def _scan_implications(n: int, start: int, stop: int) -> dict:
+    sample = _Sample()
     for mask in range(start, stop):
-        g = _dag_from_mask(n, mask)
+        g = _dag_at(n, mask)
         ex = is_extremely_reduced(g)
-        st = is_strongly_reduced(g, path_cap)
+        st = is_strongly_reduced(g)
         rd = is_reduced(g)
         if ex and not st:
-            violations.append((mask, "extremely reduced but not strongly reduced"))
+            sample.add(_graph_entry(g, "extremely reduced but not strongly reduced"))
         if st and not rd:
-            violations.append((mask, "strongly reduced but not reduced"))
-        if is_reduced_bruteforce(g, path_cap) != rd:
-            violations.append((mask, f"reduced fast={rd} disagrees with brute force"))
-        if is_strongly_reduced_bruteforce(g, order_cap, path_cap) != st:
-            violations.append((mask, f"strongly reduced fast={st} disagrees with brute force"))
-    return {
-        "checked": stop - start,
-        "violations": violations[:_VIOLATION_SAMPLE],
-        "violation_count": len(violations),
-    }
+            sample.add(_graph_entry(g, "strongly reduced but not reduced"))
+        if is_reduced_bruteforce(g) != rd:
+            sample.add(_graph_entry(g, f"reduced fast={rd} disagrees with brute force"))
+        if is_strongly_reduced_bruteforce(g) != st:
+            sample.add(_graph_entry(g, f"strongly reduced fast={st} disagrees with brute force"))
+    return {"checked": stop - start, "sample": sample}
 
 
-def _scan_random_agreement(
-    t_start: int, t_stop: int, max_n: int, seed: int, path_cap: int, order_cap: int
-) -> dict:
-    violations: list[tuple[str, str]] = []
-    violation_count = 0
+def _scan_random_agreement(max_n: int, seed: int, t_start: int, t_stop: int) -> dict:
+    sample = _Sample()
     for t in range(t_start, t_stop):
         rng = np.random.default_rng((seed, t))
         n = int(rng.integers(2, max_n + 1))
         p = 0.05 + 0.9 * float(rng.random())
         g = random_dag(n, p, rng)
         ex = is_extremely_reduced(g)
-        st = is_strongly_reduced(g, path_cap)
+        st = is_strongly_reduced(g)
         rd = is_reduced(g)
         problems = []
         if ex and not st:
             problems.append("extremely but not strongly")
         if st and not rd:
             problems.append("strongly but not reduced")
-        if is_reduced_bruteforce(g, path_cap) != rd:
+        if is_reduced_bruteforce(g) != rd:
             problems.append("reduced oracle disagrees")
-        if is_strongly_reduced_bruteforce(g, order_cap, path_cap) != st:
+        if is_strongly_reduced_bruteforce(g) != st:
             problems.append("strongly oracle disagrees")
         if problems:
-            violation_count += 1
-            if len(violations) < _VIOLATION_SAMPLE:
-                violations.append((format_edge_list(g), f"trial {t}: " + "; ".join(problems)))
-    return {"checked": t_stop - t_start, "violations": violations, "violation_count": violation_count}
+            sample.add(_graph_entry(g, f"trial {t}: " + "; ".join(problems)))
+    return {"checked": t_stop - t_start, "sample": sample}
 
 
 def verify_implications(
@@ -471,8 +481,6 @@ def verify_implications(
     random_trials: int = 1000,
     random_max_n: int = 8,
     seed: int = DEFAULT_SEED,
-    path_cap: int = DEFAULT_PATH_CAP,
-    order_cap: int = DEFAULT_ORDER_CAP,
     workers: int = 1,
     limit: int = MAX_PREDICATE_VERTICES,
 ) -> VerificationReport:
@@ -482,42 +490,21 @@ def verify_implications(
         raise InvalidParamsError(f"implications: need random_trials >= 0, got {random_trials}")
     if random_trials and random_max_n < 2:
         raise InvalidParamsError(f"implications: need random_max_n >= 2, got {random_max_n}")
-    t0 = time.perf_counter()
-    checked = 0
-    overflow = 0
-    violations: list[dict] = []
-    for n in range(1, max_n + 1):
-        shards = _shard_ranges(dag_count(n), workers)
-        parts = _map_shards(
-            _scan_implications, [(n, a, b, path_cap, order_cap) for a, b in shards], workers
-        )
-        for part in parts:
-            checked += part["checked"]
-            overflow += _merge_violations(violations, part, n)
-    if random_trials:
-        shards = _shard_ranges(random_trials, workers)
-        parts = _map_shards(
-            _scan_random_agreement,
-            [(a, b, random_max_n, seed, path_cap, order_cap) for a, b in shards],
-            workers,
-        )
-        for part in parts:
-            checked += part["checked"]
-            overflow += _merge_violations(violations, part)
-    _note_overflow(violations, overflow)
-    return VerificationReport(
-        claim="implications",
-        range=f"all forward-labeled DAGs n <= {max_n}, plus {random_trials} random DAGs n <= {random_max_n}",
-        checked=checked,
-        violations=violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={
+    with _Sweep(workers) as sweep:
+        for _ in sweep.over_n(_scan_implications, max_n):
+            pass
+        if random_trials:
+            sweep.run(_scan_random_agreement, random_trials, random_max_n, seed)
+    return sweep.report(
+        "implications",
+        f"all forward-labeled DAGs n <= {max_n}, plus {random_trials} random DAGs n <= {random_max_n}",
+        {
             "max_n": max_n,
             "random_trials": random_trials,
             "random_max_n": random_max_n,
             "seed": seed,
-            "path_cap": path_cap,
-            "order_cap": order_cap,
+            "path_cap": DEFAULT_PATH_CAP,
+            "order_cap": DEFAULT_ORDER_CAP,
         },
     )
 
@@ -526,175 +513,109 @@ def verify_implications(
 # On transitive DAGs the three predicates coincide.
 
 
-def _scan_equiv(n: int, start: int, stop: int, path_cap: int) -> dict:
+def _scan_equiv(n: int, start: int, stop: int) -> dict:
+    # Transitivity is read off successor masks built straight from the
+    # mask; only the transitive minority is built as a Dag.
     pairs = pair_table(n)
-    violations: list[tuple[int, str]] = []
+    sample = _Sample()
     transitive_count = 0
     for mask in range(start, stop):
         succ = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            u, v = pairs[low.bit_length() - 1]
+        for i in bits(mask):
+            u, v = pairs[i]
             succ[u] |= 1 << v
-            mm ^= low
-        transitive = True
-        for u in range(n):
-            su = succ[u]
-            head = su
-            while head:
-                low = head & -head
-                if succ[low.bit_length() - 1] & ~su:
-                    transitive = False
-                    break
-                head ^= low
-            if not transitive:
-                break
-        if not transitive:
+        if not succ_masks_transitive(succ):
             continue
         transitive_count += 1
-        g = _dag_from_mask(n, mask)
+        g = _dag_at(n, mask)
         ex = is_extremely_reduced(g)
-        st = is_strongly_reduced(g, path_cap)
+        st = is_strongly_reduced(g)
         rd = is_reduced(g)
         if not ex == st == rd:
-            violations.append((mask, f"transitive but predicates differ: extremely={ex} strongly={st} reduced={rd}"))
-    return {
-        "checked": stop - start,
-        "transitive": transitive_count,
-        "violations": violations[:_VIOLATION_SAMPLE],
-        "violation_count": len(violations),
-    }
+            sample.add(_graph_entry(g, f"transitive but predicates differ: extremely={ex} strongly={st} reduced={rd}"))
+    return {"checked": stop - start, "transitive": transitive_count, "sample": sample}
 
 
 def verify_equivalence_transitive(
     max_n: int = 6,
     *,
-    path_cap: int = DEFAULT_PATH_CAP,
     workers: int = 1,
     limit: int = MAX_PREDICATE_VERTICES,
 ) -> VerificationReport:
     """On every enumerated transitive DAG the three predicates agree."""
     _require_range("equiv-transitive", max_n, limit)
-    t0 = time.perf_counter()
-    checked = 0
-    transitive_count = 0
-    overflow = 0
-    violations: list[dict] = []
-    for n in range(1, max_n + 1):
-        shards = _shard_ranges(dag_count(n), workers)
-        parts = _map_shards(_scan_equiv, [(n, a, b, path_cap) for a, b in shards], workers)
-        for part in parts:
-            checked += part["checked"]
-            transitive_count += part["transitive"]
-            overflow += _merge_violations(violations, part, n)
-    _note_overflow(violations, overflow)
-    return VerificationReport(
-        claim="equiv-transitive",
-        range=f"all forward-labeled DAGs, n <= {max_n}",
-        checked=checked,
-        violations=violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={
-            "max_n": max_n,
-            "transitive_graphs": transitive_count,
-            "path_cap": path_cap,
-        },
-    )
+    params = {"max_n": max_n, "transitive_graphs": 0, "path_cap": DEFAULT_PATH_CAP}
+    with _Sweep(workers) as sweep:
+        for _, parts in sweep.over_n(_scan_equiv, max_n):
+            params["transitive_graphs"] += sum(part["transitive"] for part in parts)
+    return sweep.report("equiv-transitive", f"all forward-labeled DAGs, n <= {max_n}", params)
 
 
 # ---------------------------------------------------------------------------
 # Transitive closure: transitivity, idempotence, monotonicity, class lifting.
 
 
-def _scan_closure(n: int, start: int, stop: int, path_cap: int) -> dict:
-    violations: list[tuple[int, str]] = []
+def _scan_closure(n: int, start: int, stop: int) -> dict:
+    sample = _Sample()
     reduced_count = 0
     for mask in range(start, stop):
-        g = _dag_from_mask(n, mask)
+        g = _dag_at(n, mask)
         c = transitive_closure(g)
         if not is_transitive(c):
-            violations.append((mask, "closure is not transitive"))
+            sample.add(_graph_entry(g, "closure is not transitive"))
         if not g.edges <= c.edges:
-            violations.append((mask, "closure dropped an edge"))
+            sample.add(_graph_entry(g, "closure dropped an edge"))
         if transitive_closure(c).edges != c.edges:
-            violations.append((mask, "closure is not idempotent"))
+            sample.add(_graph_entry(g, "closure is not idempotent"))
         if is_reduced(g):
             reduced_count += 1
-            if not (
-                is_reduced(c) and is_strongly_reduced(c, path_cap) and is_extremely_reduced(c)
-            ):
-                violations.append((mask, "closure of a reduced DAG fails a reducedness predicate"))
-    return {
-        "checked": stop - start,
-        "reduced": reduced_count,
-        "violations": violations[:_VIOLATION_SAMPLE],
-        "violation_count": len(violations),
-    }
+            if not (is_reduced(c) and is_strongly_reduced(c) and is_extremely_reduced(c)):
+                sample.add(_graph_entry(g, "closure of a reduced DAG fails a reducedness predicate"))
+    return {"checked": stop - start, "reduced": reduced_count, "sample": sample}
 
 
 def verify_closure(
     max_n: int = 6,
     *,
-    path_cap: int = DEFAULT_PATH_CAP,
     workers: int = 1,
     limit: int = MAX_PREDICATE_VERTICES,
 ) -> VerificationReport:
     """Closure is transitive, monotone, idempotent, and lifts reducedness to all classes."""
     _require_range("closure", max_n, limit)
-    t0 = time.perf_counter()
-    checked = 0
-    reduced_count = 0
-    overflow = 0
-    violations: list[dict] = []
-    for n in range(1, max_n + 1):
-        shards = _shard_ranges(dag_count(n), workers)
-        parts = _map_shards(_scan_closure, [(n, a, b, path_cap) for a, b in shards], workers)
-        for part in parts:
-            checked += part["checked"]
-            reduced_count += part["reduced"]
-            overflow += _merge_violations(violations, part, n)
-    _note_overflow(violations, overflow)
-    return VerificationReport(
-        claim="closure",
-        range=f"all forward-labeled DAGs, n <= {max_n}",
-        checked=checked,
-        violations=violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={
-            "max_n": max_n,
-            "reduced_inputs": reduced_count,
-            "path_cap": path_cap,
-        },
-    )
+    params = {"max_n": max_n, "reduced_inputs": 0, "path_cap": DEFAULT_PATH_CAP}
+    with _Sweep(workers) as sweep:
+        for _, parts in sweep.over_n(_scan_closure, max_n):
+            params["reduced_inputs"] += sum(part["reduced"] for part in parts)
+    return sweep.report("closure", f"all forward-labeled DAGs, n <= {max_n}", params)
 
 
 # ---------------------------------------------------------------------------
 # Separating witnesses between the classes.
 
+_SEPARATION_KINDS = ("reduced-not-strongly", "strongly-not-extremely")
 
-def _scan_separations(n: int, start: int, stop: int, path_cap: int) -> dict:
+
+def _scan_separations(n: int, start: int, stop: int) -> dict:
     first_a: int | None = None  # reduced but not strongly reduced
     first_b: int | None = None  # strongly but not extremely reduced
     for mask in range(start, stop):
-        g = _dag_from_mask(n, mask)
+        g = _dag_at(n, mask)
         strong: bool | None = None
         if first_a is None and is_reduced(g):
-            strong = is_strongly_reduced(g, path_cap)
+            strong = is_strongly_reduced(g)
             if not strong:
                 first_a = mask
         if first_b is None and not is_extremely_reduced(g):
             if strong is None:
-                strong = is_strongly_reduced(g, path_cap)
+                strong = is_strongly_reduced(g)
             if strong:
                 first_b = mask
-    return {"checked": stop - start, "first_a": first_a, "first_b": first_b}
+    return {"checked": stop - start, "sample": _Sample(), "first": (first_a, first_b)}
 
 
 def find_separations(
     max_n: int = 6,
     *,
-    path_cap: int = DEFAULT_PATH_CAP,
     workers: int = 1,
     limit: int = MAX_PREDICATE_VERTICES,
 ) -> VerificationReport:
@@ -707,27 +628,20 @@ def find_separations(
     up as a type-(a) witness.
     """
     _require_range("separations", max_n, limit)
-    t0 = time.perf_counter()
-    checked = 0
-    violations: list[dict] = []
     witnesses: list[dict] = []
-    found_a: tuple[int, int] | None = None
-    found_b: tuple[int, int] | None = None
-    for n in range(1, max_n + 1):
-        shards = _shard_ranges(dag_count(n), workers)
-        parts = _map_shards(_scan_separations, [(n, a, b, path_cap) for a, b in shards], workers)
-        for part in parts:
-            checked += part["checked"]
-            if found_a is None and part["first_a"] is not None:
-                found_a = (n, part["first_a"])
-            if found_b is None and part["first_b"] is not None:
-                found_b = (n, part["first_b"])
-        if found_a is not None and found_b is not None:
-            break
+    found: dict[str, tuple[int, int]] = {}
+    with _Sweep(workers) as sweep:
+        for n, parts in sweep.over_n(_scan_separations, max_n):
+            for part in parts:
+                for kind, mask in zip(_SEPARATION_KINDS, part["first"]):
+                    if mask is not None:
+                        found.setdefault(kind, (n, mask))
+            if len(found) == len(_SEPARATION_KINDS):
+                break
 
     chorded = Dag(5, CHORDED_CHAIN_EDGES)
     if max_n >= 5:
-        if is_reduced(chorded) and not is_strongly_reduced(chorded, path_cap):
+        if is_reduced(chorded) and not is_strongly_reduced(chorded):
             witnesses.append(
                 {
                     "kind": "reduced-not-strongly",
@@ -737,21 +651,14 @@ def find_separations(
                 }
             )
         else:
-            violations.append(
-                {
-                    "graph": format_edge_list(chorded),
-                    "detail": "chorded chain should be reduced and not strongly reduced",
-                }
-            )
-    for kind, found in (("reduced-not-strongly", found_a), ("strongly-not-extremely", found_b)):
-        if found is None:
+            sweep.sample.note(_graph_entry(chorded, "chorded chain should be reduced and not strongly reduced"))
+    for kind in _SEPARATION_KINDS:
+        if kind not in found:
             if max_n >= 5:
-                violations.append(
-                    {"graph": None, "detail": f"no {kind} witness found although one exists at n = 5"}
-                )
+                sweep.sample.note(_graph_entry(None, f"no {kind} witness found although one exists at n = 5"))
             continue
-        n, mask = found
-        g = _dag_from_mask(n, mask)
+        n, mask = found[kind]
+        g = _dag_at(n, mask)
         entry = {
             "kind": kind,
             "n": n,
@@ -763,14 +670,11 @@ def find_separations(
             entry["detail"] += "; equals the known chorded-chain example"
             witnesses[:] = [w for w in witnesses if w["kind"] != kind]
         witnesses.append(entry)
-    return VerificationReport(
-        claim="separations",
-        range=f"all forward-labeled DAGs, n <= {max_n} (stops once both kinds are found)",
-        checked=checked,
-        violations=violations,
-        witnesses=witnesses,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={"max_n": max_n, "path_cap": path_cap},
+    return sweep.report(
+        "separations",
+        f"all forward-labeled DAGs, n <= {max_n} (stops once both kinds are found)",
+        {"max_n": max_n, "path_cap": DEFAULT_PATH_CAP},
+        witnesses,
     )
 
 
@@ -824,41 +728,30 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
     graphs are clique-free). Attainment: the balanced multipartite graph
     carries t(n, k) edges, a K_k, and no K_{k+1}.
     """
-    t0 = time.perf_counter()
-    checked = 0
-    violations: list[dict] = []
+    sweep = _Sweep(1)
     for n in range(2, max_n + 1):
         bit = _pair_bits(n)
         for k in range(1, n + 1):
             t = turan_graph_edges(n, k)
-            checked += 1
+            sweep.checked += 1
             budget = comb(n, 2) - t - 1
             if budget >= 0:
                 cliques = _clique_edge_masks(n, k + 1)
                 if _cover_within(cliques, budget):
-                    violations.append(
-                        {
-                            "graph": None,
-                            "detail": f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}",
-                        }
-                    )
+                    detail = f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}"
+                    sweep.sample.note(_graph_entry(None, detail))
             g = turan_dag(n, k)
             mask = 0
             for pair in g.edges:
                 mask |= bit[pair]
             if len(g.edges) != t:
-                violations.append({"graph": format_edge_list(g), "detail": f"expected {t} edges at n={n}, k={k}"})
+                sweep.sample.note(_graph_entry(g, f"expected {t} edges at n={n}, k={k}"))
             if not any(cm & ~mask == 0 for cm in _clique_edge_masks(n, min(k, n))):
-                violations.append({"graph": format_edge_list(g), "detail": f"no {k}-clique at n={n}, k={k}"})
+                sweep.sample.note(_graph_entry(g, f"no {k}-clique at n={n}, k={k}"))
             if k + 1 <= n and any(cm & ~mask == 0 for cm in _clique_edge_masks(n, k + 1)):
-                violations.append({"graph": format_edge_list(g), "detail": f"unexpected {k + 1}-clique at n={n}, k={k}"})
-    return VerificationReport(
-        claim="clique-free-maximum",
-        range=f"all graphs, n <= {max_n} (via complete hitting-set search)",
-        checked=checked,
-        violations=violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={"max_n": max_n},
+                sweep.sample.note(_graph_entry(g, f"unexpected {k + 1}-clique at n={n}, k={k}"))
+    return sweep.report(
+        "clique-free-maximum", f"all graphs, n <= {max_n} (via complete hitting-set search)", {"max_n": max_n}
     )
 
 
@@ -872,30 +765,18 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> Verificati
     family reproduces the extremal graph exactly."""
     if trials < 0:
         raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")
-    t0 = time.perf_counter()
-    checked = 0
-    overflow = 0
-    violations: list[dict] = []
-
+    sweep = _Sweep(1)
     for t in range(trials):
         family = random_transverse_family((seed, 0, t))
-        checked += 1
+        sweep.checked += 1
         g = directed_intersection_graph(family)
         if not (is_extremely_reduced(g) and is_transitive(g)):
-            if len(violations) < _VIOLATION_SAMPLE:
-                violations.append(
-                    {
-                        "boxes": format_box_csv(family),
-                        "detail": f"transverse trial {t}: graph not extremely reduced + transitive",
-                    }
-                )
-            else:
-                overflow += 1
+            sweep.sample.add(_box_entry(family, f"transverse trial {t}: graph not extremely reduced + transitive"))
 
     for t in range(trials):
         rng = np.random.default_rng((seed, 1, t))
         family = random_box_family(int(rng.integers(2, 13)), rng)
-        checked += 1
+        sweep.checked += 1
         g = directed_intersection_graph(family)
         rf = reach_from_masks(g)
         rt = reach_to_masks(g)
@@ -903,51 +784,57 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> Verificati
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 if rt[i] & rt[j] and rf[i] & rf[j] and not boxes_intersect(boxes[i], boxes[j]):
-                    if len(violations) < _VIOLATION_SAMPLE:
-                        violations.append(
-                            {
-                                "boxes": format_box_csv(family),
-                                "detail": f"general trial {t}: boxes {family.ids[i]},{family.ids[j]} share ancestor and descendant but do not intersect",
-                            }
-                        )
-                    else:
-                        overflow += 1
+                    pair = f"{family.ids[i]},{family.ids[j]}"
+                    detail = f"general trial {t}: boxes {pair} share ancestor and descendant but do not intersect"
+                    sweep.sample.add(_box_entry(family, detail))
 
-    extremal_checks = 0
-    for r in range(1, 6):
-        for l in range(2, 6):
-            for s in range(0, 6):
-                spec = ExtremalSpec(r=r, l=l, s=s)
-                family = extremal_box_family(spec)
-                checked += 1
-                extremal_checks += 1
-                ok, offenders = is_transverse_family(family)
-                if not ok:
-                    violations.append(
-                        {"boxes": format_box_csv(family), "detail": f"{spec}: family not transverse: {offenders}"}
-                    )
-                expected = extremal_dag(spec)
-                got = directed_intersection_graph(family)
-                if got != expected:
-                    violations.append(
-                        {
-                            "boxes": format_box_csv(family),
-                            "detail": f"{spec}: intersection graph differs from the layered construction",
-                        }
-                    )
-    _note_overflow(violations, overflow)
-    return VerificationReport(
-        claim="box-properties",
-        range=f"{trials} transverse + {trials} general random families + {extremal_checks} extremal specs",
-        checked=checked,
-        violations=violations,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        params={"trials": trials, "seed": seed, "extremal_specs": extremal_checks},
+    specs = [ExtremalSpec(r=r, l=l, s=s) for r, l, s in product(range(1, 6), range(2, 6), range(6))]
+    for spec in specs:
+        family = extremal_box_family(spec)
+        sweep.checked += 1
+        ok, offenders = is_transverse_family(family)
+        if not ok:
+            sweep.sample.note(_box_entry(family, f"{spec}: family not transverse: {offenders}"))
+        if directed_intersection_graph(family) != extremal_dag(spec):
+            sweep.sample.note(_box_entry(family, f"{spec}: intersection graph differs from the layered construction"))
+    return sweep.report(
+        "box-properties",
+        f"{trials} transverse + {trials} general random families + {len(specs)} extremal specs",
+        {"trials": trials, "seed": seed, "extremal_specs": len(specs)},
     )
 
 
 # ---------------------------------------------------------------------------
 # Front door.
+
+# claim -> (default max_n, ceiling, runner); a runner maps the resolved
+# options to the claim's reports. boxes has no enumeration range.
+_CLAIM_TABLE: dict[str, tuple[int | None, int | None, Callable[[SimpleNamespace], list[VerificationReport]]]] = {
+    "turan": (7, MAX_TURAN_VERTICES, lambda o: [verify_turan_bound(o.n, workers=o.workers, limit=o.limit)]),
+    "theorem": (
+        6,
+        MAX_SCAN_VERTICES,
+        lambda o: [verify_theorem_bound(o.n, k, workers=o.workers, limit=o.limit) for k in _CLASS_PREDICATES],
+    ),
+    "implications": (
+        5,
+        MAX_PREDICATE_VERTICES,
+        lambda o: [
+            verify_implications(o.n, random_trials=o.random_trials, seed=o.seed, workers=o.workers, limit=o.limit)
+        ],
+    ),
+    "equiv-transitive": (
+        6,
+        MAX_PREDICATE_VERTICES,
+        lambda o: [verify_equivalence_transitive(o.n, workers=o.workers, limit=o.limit)],
+    ),
+    "closure": (6, MAX_PREDICATE_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
+    "separations": (6, MAX_PREDICATE_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
+    "boxes": (None, None, lambda o: [verify_box_props(o.trials, o.seed)]),
+    "clique": (8, MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(o.n)]),
+}
+
+CLAIMS = (*_CLAIM_TABLE, "all")
 
 
 def verify_claim(
@@ -960,7 +847,6 @@ def verify_claim(
     random_trials: int = 1000,
     limit: int | None = None,
     cap: int | None = None,
-    _clamp: bool = False,
 ) -> list[VerificationReport]:
     """Run one named claim (or ``all``); returns one report per sub-check.
 
@@ -970,56 +856,20 @@ def verify_claim(
     """
     if claim not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
-
-    def pick(default: int, ceiling: int) -> tuple[int, int]:
-        n = default if max_n is None else max_n
-        lim = ceiling if limit is None else limit
-        if cap is not None:
-            n = min(n, cap)
-        if _clamp:
-            n = min(n, lim)
-        return n, lim
-
-    if claim == "turan":
-        n, lim = pick(7, MAX_TURAN_VERTICES)
-        return [verify_turan_bound(n, workers=workers, limit=lim)]
-    if claim == "theorem":
-        n, lim = pick(6, MAX_SCAN_VERTICES)
-        return [
-            verify_theorem_bound(n, klass, workers=workers, limit=lim)
-            for klass in ("extremely", "strongly", "reduced")
-        ]
-    if claim == "implications":
-        n, lim = pick(5, MAX_PREDICATE_VERTICES)
-        return [
-            verify_implications(
-                n, random_trials=random_trials, seed=seed, workers=workers, limit=lim
-            )
-        ]
-    if claim == "equiv-transitive":
-        n, lim = pick(6, MAX_PREDICATE_VERTICES)
-        return [verify_equivalence_transitive(n, workers=workers, limit=lim)]
-    if claim == "closure":
-        n, lim = pick(6, MAX_PREDICATE_VERTICES)
-        return [verify_closure(n, workers=workers, limit=lim)]
-    if claim == "separations":
-        n, lim = pick(6, MAX_PREDICATE_VERTICES)
-        return [find_separations(n, workers=workers, limit=lim)]
-    if claim == "boxes":
-        return [verify_box_props(trials, seed)]
     reports: list[VerificationReport] = []
-    for sub in ("turan", "theorem", "implications", "equiv-transitive", "closure", "separations", "boxes"):
-        reports.extend(
-            verify_claim(
-                sub,
-                max_n=max_n,
-                workers=workers,
-                seed=seed,
-                trials=trials,
-                random_trials=random_trials,
-                limit=limit,
-                cap=cap,
-                _clamp=True,
-            )
+    for name in _CLAIM_TABLE if claim == "all" else (claim,):
+        default, ceiling, runner = _CLAIM_TABLE[name]
+        n = lim = None
+        if default is not None:
+            n = default if max_n is None else max_n
+            lim = ceiling if limit is None else limit
+            if cap is not None:
+                n = min(n, cap)
+            if claim == "all":
+                n = min(n, lim)
+            _require_range(name, n, lim)
+        options = SimpleNamespace(
+            n=n, limit=lim, workers=workers, seed=seed, trials=trials, random_trials=random_trials
         )
+        reports += runner(options)
     return reports

@@ -22,8 +22,11 @@ and the two routes are cross-checked exhaustively in the test suite.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import CapExceededError, EndpointMismatchError, VertexRangeError
 from .graph import (
+    DEFAULT_ORDER_CAP,
     Dag,
     TopoOrder,
     all_topological_orders,
@@ -147,15 +150,18 @@ def ordered_union(p: PathSeq, q: PathSeq, order: TopoOrder) -> tuple[int, ...]:
     return tuple(sorted(merged, key=pos.__getitem__))
 
 
-def is_transitive(g: Dag) -> bool:
-    """True iff the edge set is transitively closed."""
-    succ = g.succ_masks
-    for u in range(g.n):
-        su = succ[u]
+def succ_masks_transitive(succ: Sequence[int]) -> bool:
+    """True iff the graph with successor bitmasks ``succ`` is transitively closed."""
+    for su in succ:
         for v in bits(su):
             if succ[v] & ~su:
                 return False
     return True
+
+
+def is_transitive(g: Dag) -> bool:
+    """True iff the edge set is transitively closed."""
+    return succ_masks_transitive(g.succ_masks)
 
 
 def transitive_closure(g: Dag) -> Dag:
@@ -259,7 +265,7 @@ def is_reduced_bruteforce(g: Dag, cap: int = DEFAULT_PATH_CAP) -> bool:
 
 def is_strongly_reduced_bruteforce(
     g: Dag,
-    order_cap: int = 100_000,
+    order_cap: int = DEFAULT_ORDER_CAP,
     path_cap: int = DEFAULT_PATH_CAP,
 ) -> bool:
     """Oracle for :func:`is_strongly_reduced`: quantify over everything.

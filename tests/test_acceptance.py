@@ -158,7 +158,7 @@ def test_criterion_9_cli_round_trips_and_verify_all(capsys, tmp_path):
     elapsed = time.perf_counter() - t0
     assert code == 0
     reports = json.loads(text)
-    assert len(reports) == 9 and all(r["violations"] == [] for r in reports)
+    assert len(reports) == 10 and all(r["violations"] == [] for r in reports)
     assert elapsed < 30, f"verify all --max-n 5 took {elapsed:.0f}s"
     passed(9, f"generate/parse/analyze round trips succeed; verify all --max-n 5 exits 0 in {elapsed:.1f}s"
     )

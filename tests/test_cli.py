@@ -4,6 +4,7 @@ import pytest
 
 from dagx import Dag, ExtremalSpec, extremal_dag, parse_box_csv, parse_edge_list
 from dagx.cli import main
+from dagx.graph import MAX_EDGE_LIST_VERTICES
 
 from conftest import CHORDED_CHAIN
 
@@ -178,6 +179,15 @@ class TestVerify:
         a["elapsed_ms"] = b["elapsed_ms"] = 0
         assert a == b
 
+    def test_clique_claim(self, capsys):
+        code, out, _ = run(capsys, "verify", "clique", "--max-n", "5")
+        assert code == 0
+        report = json.loads(out)
+        assert report["claim"] == "clique-free-maximum"
+        assert report["checked"] == 2 + 3 + 4 + 5
+        code, _, err = run(capsys, "verify", "clique", "--max-n", "9")
+        assert code == 2 and "ceiling" in err
+
     def test_theorem_emits_array(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem", "--max-n", "3")
         assert code == 0
@@ -203,6 +213,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "turan")
         assert code == 2
         assert "DAGX_MAX_N" in err and "internal error" not in err
+
+    def test_oversized_header_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"n {MAX_EDGE_LIST_VERTICES + 1}\n0 1\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == "" and "exceeds the limit" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "does-not-exist.txt")

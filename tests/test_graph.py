@@ -25,6 +25,8 @@ from dagx import (
     topological_order,
 )
 
+from dagx.graph import MAX_EDGE_LIST_VERTICES
+
 from conftest import chain, forward_dags
 
 
@@ -247,6 +249,12 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError) as err:
             parse_edge_list("n 3\n0 1\n0 x\n")
         assert err.value.line == 3
+
+    def test_vertex_count_limit(self):
+        assert parse_edge_list(f"n {MAX_EDGE_LIST_VERTICES}\n0 1\n").n == MAX_EDGE_LIST_VERTICES
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(f"# big\nn {MAX_EDGE_LIST_VERTICES + 1}\n0 1\n")
+        assert err.value.line == 2 and "exceeds the limit" in str(err.value)
 
     def test_cycle_from_file(self):
         with pytest.raises(CycleError):

@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -22,6 +23,7 @@ from dagx import (
 )
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import longest_path_length
+from dagx.predicates import is_extremely_reduced
 from dagx.harness import _LEVEL_BLOCK, CHORDED_CHAIN_EDGES, _levels_chunk
 
 from conftest import CHORDED_CHAIN
@@ -233,12 +235,47 @@ class TestVerifyClaim:
 
     def test_all_runs_every_claim(self):
         reports = verify_claim("all", max_n=3, trials=10, random_trials=10)
-        assert len(reports) == 9
+        assert len(reports) == 10
         assert all(r.ok for r in reports)
+        assert reports[-1].claim == "clique-free-maximum" and reports[-1].params["max_n"] == 3
+
+    def test_clique_default_and_ceiling(self):
+        (report,) = verify_claim("clique")
+        assert report.ok and report.params["max_n"] == 8
+        with pytest.raises(LimitExceededError):
+            verify_claim("clique", max_n=9)
 
     def test_limit_propagates(self):
         with pytest.raises(LimitExceededError):
             verify_claim("closure", max_n=5, limit=4)
+
+
+class TestPool:
+    def test_one_pool_of_at_most_one_process_per_cpu(self, monkeypatch):
+        sizes = []
+
+        class InlineExecutor:
+            """Records its size and runs each task at once; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        report = verify_turan_bound(4, workers=5000)
+        assert sizes == [3]
+        assert stripped(report) == stripped(verify_turan_bound(4))
 
 
 def overflow_detail(report: VerificationReport) -> str:
@@ -250,14 +287,27 @@ class TestViolationOverflow:
 
     def test_turan_counts_every_violation(self, monkeypatch):
         # With every bound at 0, each of the 71 graphs with an edge (n <= 4)
-        # violates; per-n summary entries share the listed sample.
+        # violates. The per-(n, ell) summary entries are listed as well but
+        # take no slot, so all 20 slots go to graphs.
         monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: 0)
         report = verify_turan_bound(4)
         listed = sum("edges with longest path" in v["detail"] for v in report.violations)
-        further = overflow_detail(report)
-        assert further.endswith(" further violations not listed")
-        assert listed + int(further.split()[0]) == 71
+        assert listed == 20
+        assert overflow_detail(report) == "51 further violations not listed"
         assert stripped(verify_turan_bound(4, workers=3)) == stripped(report)
+
+    def test_theorem_counts_every_violation(self, monkeypatch):
+        # With every class bound at 0, each extremely reduced graph with an
+        # edge violates; the summary entries again take no slot.
+        members = sum(
+            is_extremely_reduced(dag_from_index(n, mask)) for n in range(1, 5) for mask in range(1, dag_count(n))
+        )
+        monkeypatch.setattr(harness, "reduced_dag_edge_bound", lambda n, ell: 0)
+        report = verify_theorem_bound(4, "extremely")
+        listed = sum(v["detail"].startswith("class 'extremely'") for v in report.violations)
+        assert listed == 20
+        assert overflow_detail(report) == f"{members - 20} further violations not listed"
+        assert stripped(verify_theorem_bound(4, "extremely", workers=3)) == stripped(report)
 
     @pytest.mark.parametrize(
         "target, wrong, run, total",
