@@ -28,9 +28,23 @@ from .graph import Dag
 from .generators import ExtremalSpec
 
 
+# Largest decimal exponent a coordinate string may carry: Fraction("1e99999999999")
+# expands 10**99999999999 exactly and never returns, so the exponent is read first.
+MAX_COORD_EXPONENT = 1000
+
+
+def _exponent_too_large(text: str) -> bool:
+    """True iff ``text`` carries a decimal exponent above MAX_COORD_EXPONENT."""
+    _, sep, exp = text.lower().partition("e")
+    digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    return sep == "e" and digits.isdecimal() and (len(digits) > 9 or int(digits) > MAX_COORD_EXPONENT)
+
+
 def _coord(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("box coordinates must be exact: pass int, str, or Fraction")
+    if isinstance(value, str) and _exponent_too_large(value):
+        raise InvalidParamsError(f"bad coordinate: exponent above the limit {MAX_COORD_EXPONENT}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -262,7 +276,10 @@ CSV_HEADER = ("id", "ix_lo", "ix_hi", "jy_lo", "jy_hi")
 
 def parse_box_csv(text: str) -> BoxFamily:
     """Parse the box CSV format (see :data:`CSV_HEADER`)."""
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from None
     rows = [(lineno, row) for lineno, row in enumerate(rows, start=1) if any(f.strip() for f in row)]
     if not rows:
         raise ParseError("empty box CSV")
@@ -274,6 +291,8 @@ def parse_box_csv(text: str) -> BoxFamily:
         if len(row) != 5:
             raise ParseError(f"expected 5 fields, got {len(row)}", lineno)
         ident = row[0].strip()
+        if any(map(_exponent_too_large, row[1:])):
+            raise ParseError(f"bad coordinate: exponent above the limit {MAX_COORD_EXPONENT}", lineno)
         try:
             coords = [Fraction(f.strip()) for f in row[1:]]
         except (ValueError, ZeroDivisionError) as exc:

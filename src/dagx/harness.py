@@ -433,21 +433,29 @@ def verify_theorem_bound(
 # Implication chain and fast/brute-force agreement.
 
 
+def _predicate_problems(g: Dag) -> list[str]:
+    """What is wrong with ``g``: a broken implication or a fast predicate that disagrees with its oracle."""
+    ex = is_extremely_reduced(g)
+    st = is_strongly_reduced(g)
+    rd = is_reduced(g)
+    problems = []
+    if ex and not st:
+        problems.append("extremely reduced but not strongly reduced")
+    if st and not rd:
+        problems.append("strongly reduced but not reduced")
+    if is_reduced_bruteforce(g) != rd:
+        problems.append(f"reduced fast={rd} disagrees with brute force")
+    if is_strongly_reduced_bruteforce(g) != st:
+        problems.append(f"strongly reduced fast={st} disagrees with brute force")
+    return problems
+
+
 def _scan_implications(n: int, start: int, stop: int) -> dict:
     sample = _Sample()
     for mask in range(start, stop):
         g = _dag_at(n, mask)
-        ex = is_extremely_reduced(g)
-        st = is_strongly_reduced(g)
-        rd = is_reduced(g)
-        if ex and not st:
-            sample.add(_graph_entry(g, "extremely reduced but not strongly reduced"))
-        if st and not rd:
-            sample.add(_graph_entry(g, "strongly reduced but not reduced"))
-        if is_reduced_bruteforce(g) != rd:
-            sample.add(_graph_entry(g, f"reduced fast={rd} disagrees with brute force"))
-        if is_strongly_reduced_bruteforce(g) != st:
-            sample.add(_graph_entry(g, f"strongly reduced fast={st} disagrees with brute force"))
+        for problem in _predicate_problems(g):
+            sample.add(_graph_entry(g, problem))
     return {"checked": stop - start, "sample": sample}
 
 
@@ -458,18 +466,7 @@ def _scan_random_agreement(max_n: int, seed: int, t_start: int, t_stop: int) -> 
         n = int(rng.integers(2, max_n + 1))
         p = 0.05 + 0.9 * float(rng.random())
         g = random_dag(n, p, rng)
-        ex = is_extremely_reduced(g)
-        st = is_strongly_reduced(g)
-        rd = is_reduced(g)
-        problems = []
-        if ex and not st:
-            problems.append("extremely but not strongly")
-        if st and not rd:
-            problems.append("strongly but not reduced")
-        if is_reduced_bruteforce(g) != rd:
-            problems.append("reduced oracle disagrees")
-        if is_strongly_reduced_bruteforce(g) != st:
-            problems.append("strongly oracle disagrees")
+        problems = _predicate_problems(g)
         if problems:
             sample.add(_graph_entry(g, f"trial {t}: " + "; ".join(problems)))
     return {"checked": t_stop - t_start, "sample": sample}
@@ -544,7 +541,7 @@ def verify_equivalence_transitive(
 ) -> VerificationReport:
     """On every enumerated transitive DAG the three predicates agree."""
     _require_range("equiv-transitive", max_n, limit)
-    params = {"max_n": max_n, "transitive_graphs": 0, "path_cap": DEFAULT_PATH_CAP}
+    params = {"max_n": max_n, "transitive_graphs": 0}
     with _Sweep(workers) as sweep:
         for _, parts in sweep.over_n(_scan_equiv, max_n):
             params["transitive_graphs"] += sum(part["transitive"] for part in parts)
@@ -582,7 +579,7 @@ def verify_closure(
 ) -> VerificationReport:
     """Closure is transitive, monotone, idempotent, and lifts reducedness to all classes."""
     _require_range("closure", max_n, limit)
-    params = {"max_n": max_n, "reduced_inputs": 0, "path_cap": DEFAULT_PATH_CAP}
+    params = {"max_n": max_n, "reduced_inputs": 0}
     with _Sweep(workers) as sweep:
         for _, parts in sweep.over_n(_scan_closure, max_n):
             params["reduced_inputs"] += sum(part["reduced"] for part in parts)
@@ -673,7 +670,7 @@ def find_separations(
     return sweep.report(
         "separations",
         f"all forward-labeled DAGs, n <= {max_n} (stops once both kinds are found)",
-        {"max_n": max_n, "path_cap": DEFAULT_PATH_CAP},
+        {"max_n": max_n},
         witnesses,
     )
 
@@ -718,7 +715,7 @@ def _cover_within(cliques: list[int], budget: int, removed: int = 0) -> bool:
     return True
 
 
-def verify_clique_bound(max_n: int = 8) -> VerificationReport:
+def verify_clique_bound(max_n: int = 8, *, limit: int = MAX_CLIQUE_VERTICES) -> VerificationReport:
     """t(n, k) equals the clique-free edge maximum, exhaustively for n <= max_n.
 
     Upper bound: a K_{k+1}-free graph with t(n, k) + 1 edges would leave a
@@ -728,6 +725,7 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
     graphs are clique-free). Attainment: the balanced multipartite graph
     carries t(n, k) edges, a K_k, and no K_{k+1}.
     """
+    _require_range("clique", max_n, limit)
     sweep = _Sweep(1)
     for n in range(2, max_n + 1):
         bit = _pair_bits(n)
@@ -831,7 +829,7 @@ _CLAIM_TABLE: dict[str, tuple[int | None, int | None, Callable[[SimpleNamespace]
     "closure": (6, MAX_PREDICATE_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
     "separations": (6, MAX_PREDICATE_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
     "boxes": (None, None, lambda o: [verify_box_props(o.trials, o.seed)]),
-    "clique": (8, MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(o.n)]),
+    "clique": (8, MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(o.n, limit=o.limit)]),
 }
 
 CLAIMS = (*_CLAIM_TABLE, "all")

@@ -11,13 +11,13 @@ a literal brute-force oracle:
 * extremely reduced -- no non-adjacent pair has both a common ancestor
                        and a common descendant.
 
-The fast strongly-reduced check drops the quantification over topological
-orders: restricted to a fixed vertex subset, topological orders range over
-exactly the linear extensions of reachability on that subset, so the union
-of two paths is a path under every order iff it is a reachability chain
-whose consecutive elements are joined by edges -- equivalently, iff it is
-a path under one fixed order. The brute-force oracles quantify literally
-and the two routes are cross-checked exhaustively in the test suite.
+The fast strongly-reduced check needs neither paths nor orders: a
+reduced DAG is strongly reduced iff no two edges cross without the
+shortcut that would make the union of their paths a path (see
+:func:`is_strongly_reduced` for the criterion and its proof), which
+costs O(m * n) bitmask operations. The brute-force oracles quantify
+literally over paths and orders, and the two routes are cross-checked
+exhaustively in the test suite.
 """
 
 from __future__ import annotations
@@ -185,13 +185,6 @@ def is_extremely_reduced(g: Dag) -> bool:
     return True
 
 
-def _pair_span(g: Dag, v: int, w: int) -> int:
-    """Bitmask of all vertices lying on some v->w path (endpoints included)."""
-    rf = reach_from_masks(g)
-    rt = reach_to_masks(g)
-    return (rf[v] & rt[w]) | 1 << v | 1 << w
-
-
 def is_reduced(g: Dag, order: TopoOrder | None = None) -> bool:
     """Fast reduced check over one fixed topological order.
 
@@ -218,30 +211,50 @@ def is_reduced(g: Dag, order: TopoOrder | None = None) -> bool:
     return True
 
 
-def is_strongly_reduced(g: Dag, cap: int = DEFAULT_PATH_CAP) -> bool:
-    """Fast strongly-reduced check (order quantifier eliminated).
+def is_strongly_reduced(g: Dag) -> bool:
+    """Fast strongly-reduced check: reduced, and no crossing edge pair without its shortcut.
 
-    Enumerates, per reachable pair, the vertex sets of all joining paths
-    (at most ``cap`` each) and requires every pairwise union to be a
-    directed path under the canonical order; see the module docstring
-    for why one order suffices.
+    Criterion: G is strongly reduced iff G is reduced and, for every pair
+    of edges p->q and a->c with p ~> a ~> q ~> c (all strict
+    reachability), the edge a->q exists. As bitmasks: for each vertex a,
+    no q outside ``succ[a]`` that a reaches and that reaches a successor
+    of a has a predecessor in ``rt[a]``.
+
+    Proof. (=>) Strongly reduced implies reduced: the union of any two
+    v->w paths is again a v->w path, so folding all joining paths in one
+    at a time leaves a single path containing every other. Given the two
+    edges, the paths p ~> a -> c and p -> q ~> c both run from p to c.
+    Every vertex of the first other than c is a or reaches a, and c lies
+    beyond q; every vertex of the second other than p is q or is reached
+    from q, and p lies before a. So under any topological order nothing
+    in their union sits between a and q, and the union is a path only if
+    a->q is an edge.
+
+    (<=) Let P and Q be v->w paths whose union, sorted by a topological
+    order, has consecutive vertices x < y with no edge x->y. Both on P
+    would make them consecutive on P (a path visits its vertices in
+    order), hence adjacent; likewise for Q. So, up to swapping the paths,
+    x lies only on P and y only on Q. Then x != w has a P-successor x',
+    which lies beyond y because no vertex of the union sits between x
+    and y; likewise y != v has a Q-predecessor y' before x. All four
+    vertices lie on v->w paths, and reducedness makes those vertices a
+    chain of the reachability order, so y' ~> x ~> y ~> x' strictly:
+    the edges y'->y and x->x' form the forbidden crossing with x->y
+    missing.
     """
+    if not is_reduced(g):
+        return False
     rf = reach_from_masks(g)
-    pos = _topo_positions(g)
-    checked: set[int] = set()
-    for v in range(g.n):
-        for w in bits(rf[v]):
-            masks = path_vertex_masks(g, v, w, cap)
-            k = len(masks)
-            for i in range(k):
-                mi = masks[i]
-                for j in range(i + 1, k):
-                    u = mi | masks[j]
-                    if u in checked:
-                        continue
-                    checked.add(u)
-                    if not _is_path_mask(g, u, pos):
-                        return False
+    rt = reach_to_masks(g)
+    succ = g.succ_masks
+    pred = g.pred_masks
+    for a in range(g.n):
+        reaches_succ = 0
+        for c in bits(succ[a]):
+            reaches_succ |= rt[c]
+        for q in bits(rf[a] & reaches_succ & ~succ[a]):
+            if pred[q] & rt[a]:
+                return False
     return True
 
 

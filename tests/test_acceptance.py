@@ -175,3 +175,17 @@ def test_criterion_10_turan_bound_exhaustive_n8():
         assert observed[f"8,{ell}"] == turan_graph_edges(8, ell + 1)
     assert elapsed < 120, f"single-threaded n=8 sweep took {elapsed:.0f}s"
     passed(10, f"edges <= t(n, ell+1) on all {report.checked} DAGs, n <= 8, in {elapsed:.1f}s")
+
+
+def test_criterion_11_implications_and_oracle_agreement_exhaustive_n6():
+    t0 = time.perf_counter()
+    report = verify_implications(6, random_trials=0, workers=2, limit=6)
+    elapsed = time.perf_counter() - t0
+    assert report.violations == []
+    assert report.checked == sum(1 << comb(n, 2) for n in range(1, 7)) == 33_867
+    assert elapsed < 60, f"n=6 implication sweep took {elapsed:.0f}s"
+    passed(
+        11,
+        f"extremely => strongly => reduced and fast == brute force on all {report.checked} DAGs, n <= 6,"
+        f" in {elapsed:.1f}s",
+    )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dagx import (
     BoxFamily,
     Dag,
+    DagxError,
     DegenerateIntervalError,
     ExtremalSpec,
     Interval,
@@ -28,6 +29,8 @@ from dagx import (
     random_transverse_family,
     reachability,
 )
+
+CSV_HEAD = "id,ix_lo,ix_hi,jy_lo,jy_hi\n"
 
 
 class TestInterval:
@@ -223,3 +226,38 @@ class TestBoxCsv:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_box_csv("")
+
+    @pytest.mark.parametrize("field", ["1e99999999999", "1e-99999999999", "1E+1001", "1e9_999_999_999"])
+    def test_huge_exponent_rejected(self, field):
+        # Fraction would expand 10**exponent exactly; the parser refuses first.
+        with pytest.raises(ParseError) as err:
+            parse_box_csv(f"{CSV_HEAD}b,0,{field},0,1\n")
+        assert err.value.line == 2 and "exponent" in str(err.value)
+        with pytest.raises(InvalidParamsError):
+            box(0, field, 0, 1)
+
+    def test_exponent_at_the_limit(self):
+        fam = parse_box_csv(CSV_HEAD + "b,1e-1000,1e1000,0,1E3\n")
+        b = fam.boxes[0]
+        assert b.ix.hi == 10**1000 and b.ix.lo == Fraction(1, 10**1000) and b.jy.hi == 1000
+
+    def test_malformed_csv(self):
+        with pytest.raises(ParseError):
+            parse_box_csv(CSV_HEAD + "b,0\r1,1,0,1\n")
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text().map(CSV_HEAD.__add__),
+            st.lists(
+                st.lists(st.text(alphabet="0123456789eE+-./_ x", max_size=8), min_size=4, max_size=6).map(",".join),
+                max_size=4,
+            ).map(lambda rows: CSV_HEAD + "".join(f"b{i},{row}\n" for i, row in enumerate(rows))),
+        )
+    )
+    @settings(max_examples=300)
+    def test_any_text_parses_or_raises_dagx_error(self, text):
+        try:
+            parse_box_csv(text)
+        except DagxError:
+            pass

@@ -56,6 +56,19 @@ class TestAnalyze:
         assert data["ell"] == 0
         assert data["edge_bound"] is None and data["slack"] is None
 
+    def test_closed_25_chain(self, capsys, tmp_path):
+        # The transitive tournament on 25 vertices has 2^23 paths from 0 to 24;
+        # the strongly-reduced check never enumerates them.
+        code, text, _ = run(capsys, "gen", "turan-dag", "--n", "25", "--k", "25")
+        assert code == 0
+        path = tmp_path / "chain25.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        info = json.loads(out)
+        assert info["edges"] == 300
+        assert info["reduced"] and info["strongly_reduced"] and info["extremely_reduced"]
+
     def test_cycle_exit_2(self, capsys, tmp_path):
         p = tmp_path / "cyc.txt"
         p.write_text("n 2\n0 1\n1 0\n")
@@ -138,6 +151,13 @@ class TestBoxesGraph:
         assert "# not-transverse-pair: a b" in out
         code, _, _ = run(capsys, "boxes-graph", str(p))
         assert code == 0
+
+    def test_huge_exponent_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("id,ix_lo,ix_hi,jy_lo,jy_hi\nb,0,1e99999999999,0,1\n")
+        code, out, err = run(capsys, "boxes-graph", str(path))
+        assert code == 2
+        assert out == "" and "exponent" in err
 
     def test_disjoint_edgeless(self, capsys, tmp_path):
         p = tmp_path / "d.csv"

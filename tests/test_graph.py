@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagx import (
     CapExceededError,
     CycleError,
     Dag,
+    DagxError,
     DuplicateEdgeError,
     InvalidParamsError,
     ParseError,
@@ -255,6 +257,21 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError) as err:
             parse_edge_list(f"# big\nn {MAX_EDGE_LIST_VERTICES + 1}\n0 1\n")
         assert err.value.line == 2 and "exceeds the limit" in str(err.value)
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.tuples(
+                st.integers(-3, 12), st.lists(st.text(alphabet="0123456789 -+_x#\t", max_size=8), max_size=10)
+            ).map(lambda t: f"n {t[0]}\n" + "\n".join(t[1])),
+        )
+    )
+    @settings(max_examples=300)
+    def test_any_text_parses_or_raises_dagx_error(self, text):
+        try:
+            parse_edge_list(text)
+        except DagxError:
+            pass
 
     def test_cycle_from_file(self):
         with pytest.raises(CycleError):

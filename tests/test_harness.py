@@ -188,6 +188,12 @@ class TestCliqueBound:
         assert not _cover_within(triangles, 11)
         assert _cover_within(triangles, 12)
 
+    def test_range_checked(self):
+        with pytest.raises(InvalidParamsError):
+            verify_clique_bound(-3)
+        with pytest.raises(LimitExceededError):
+            verify_clique_bound(9)
+
 
 class TestBoxClaim:
     def test_small_run(self):
@@ -335,3 +341,11 @@ class TestViolationOverflow:
         assert len(report.violations) == 21
         assert overflow_detail(report) == f"{total - 20} further violations not listed"
 
+    def test_random_agreement_uses_the_scan_texts(self, monkeypatch):
+        real = harness.is_reduced_bruteforce
+        monkeypatch.setattr(harness, "is_reduced_bruteforce", lambda *args: not real(*args))
+        report = verify_implications(1, random_trials=3)
+        details = [v["detail"] for v in report.violations]
+        assert details[0] == "reduced fast=True disagrees with brute force"
+        assert [d.split(": ")[0] for d in details[1:]] == ["trial 0", "trial 1", "trial 2"]
+        assert all(d.endswith("disagrees with brute force") for d in details[1:])

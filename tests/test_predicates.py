@@ -166,9 +166,41 @@ class TestPredicateExamples:
             assert is_strongly_reduced(g)
             assert is_extremely_reduced(g)
 
-    def test_strongly_cap(self, chorded_chain):
-        with pytest.raises(CapExceededError):
-            is_strongly_reduced(transitive_closure(chorded_chain), cap=2)
+
+class TestCrossingRule:
+    """Strongly reduced == reduced with no edge pair p->q, a->c, p ~> a ~> q ~> c, lacking a->q."""
+
+    def test_chorded_chain_crossing(self, chorded_chain):
+        # p=0, q=3, a=1, c=4: 0 ~> 1 ~> 3 ~> 4, edges 0->3 and 1->4, no 1->3.
+        assert is_reduced(chorded_chain)
+        assert not is_strongly_reduced(chorded_chain)
+        repaired = Dag(5, chorded_chain.edges | {(1, 3)})
+        assert is_reduced(repaired)
+        assert is_strongly_reduced(repaired)
+        assert is_strongly_reduced_bruteforce(repaired)
+
+    def test_relabeled_non_forward(self, chorded_chain):
+        perm = (3, 0, 4, 1, 2)
+        h = Dag(5, [(perm[u], perm[v]) for u, v in chorded_chain.edges])
+        assert not h.is_forward()
+        assert is_reduced(h)
+        assert not is_strongly_reduced(h)
+        assert not is_strongly_reduced_bruteforce(h)
+        repaired = Dag(5, h.edges | {(perm[1], perm[3])})
+        assert is_strongly_reduced(repaired)
+        assert is_strongly_reduced_bruteforce(repaired)
+
+    def test_literal_rule_exhaustive(self):
+        # The rule quantified edge pair by edge pair, on every DAG with n <= 5.
+        for n in range(1, 6):
+            for g in enumerate_dags(n):
+                r = reachability(g)
+                crossing = any(
+                    r[p][a] and r[a][q] and r[q][c] and (a, q) not in g.edges
+                    for p, q in g.edges
+                    for a, c in g.edges
+                )
+                assert is_strongly_reduced(g) == (is_reduced(g) and not crossing)
 
 
 class TestOracleAgreement:
