@@ -276,11 +276,13 @@ CSV_HEADER = ("id", "ix_lo", "ix_hi", "jy_lo", "jy_hi")
 
 def parse_box_csv(text: str) -> BoxFamily:
     """Parse the box CSV format (see :data:`CSV_HEADER`)."""
+    reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(csv.reader(io.StringIO(text)))
+        # line_num is the physical line a record ends on, which differs
+        # from the record count once a quoted field spans lines.
+        rows = [(reader.line_num, row) for row in reader if any(f.strip() for f in row)]
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from None
-    rows = [(lineno, row) for lineno, row in enumerate(rows, start=1) if any(f.strip() for f in row)]
     if not rows:
         raise ParseError("empty box CSV")
     head_line, head = rows[0]

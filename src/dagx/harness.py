@@ -140,7 +140,7 @@ def _require_range(claim: str, max_n: int, limit: int) -> None:
 
 def _shard_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     k = max(1, min(workers, total))
-    step = -(-total // k)
+    step = max(1, -(-total // k))
     return [(a, min(a + step, total)) for a in range(0, total, step)]
 
 
@@ -553,20 +553,31 @@ def verify_equivalence_transitive(
 
 
 def _scan_closure(n: int, start: int, stop: int) -> dict:
+    # Many inputs share a closure, so the checks on the closure alone
+    # (transitive, idempotent, lifts every class) run once per distinct one.
+    closure_checks: dict[Dag, tuple[bool, bool, bool]] = {}
     sample = _Sample()
     reduced_count = 0
     for mask in range(start, stop):
         g = _dag_at(n, mask)
         c = transitive_closure(g)
-        if not is_transitive(c):
+        checks = closure_checks.get(c)
+        if checks is None:
+            checks = closure_checks[c] = (
+                is_transitive(c),
+                transitive_closure(c).edges == c.edges,
+                is_reduced(c) and is_strongly_reduced(c) and is_extremely_reduced(c),
+            )
+        transitive, idempotent, lifts = checks
+        if not transitive:
             sample.add(_graph_entry(g, "closure is not transitive"))
         if not g.edges <= c.edges:
             sample.add(_graph_entry(g, "closure dropped an edge"))
-        if transitive_closure(c).edges != c.edges:
+        if not idempotent:
             sample.add(_graph_entry(g, "closure is not idempotent"))
         if is_reduced(g):
             reduced_count += 1
-            if not (is_reduced(c) and is_strongly_reduced(c) and is_extremely_reduced(c)):
+            if not lifts:
                 sample.add(_graph_entry(g, "closure of a reduced DAG fails a reducedness predicate"))
     return {"checked": stop - start, "reduced": reduced_count, "sample": sample}
 
@@ -757,24 +768,21 @@ def verify_clique_bound(max_n: int = 8, *, limit: int = MAX_CLIQUE_VERTICES) -> 
 # Box family properties.
 
 
-def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Transverse families give extremely reduced transitive graphs; common
-    ancestor plus common descendant forces intersecting boxes; the extremal
-    family reproduces the extremal graph exactly."""
-    if trials < 0:
-        raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")
-    sweep = _Sweep(1)
-    for t in range(trials):
+def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
+    sample = _Sample()
+    for t in range(start, stop):
         family = random_transverse_family((seed, 0, t))
-        sweep.checked += 1
         g = directed_intersection_graph(family)
         if not (is_extremely_reduced(g) and is_transitive(g)):
-            sweep.sample.add(_box_entry(family, f"transverse trial {t}: graph not extremely reduced + transitive"))
+            sample.add(_box_entry(family, f"transverse trial {t}: graph not extremely reduced + transitive"))
+    return {"checked": stop - start, "sample": sample}
 
-    for t in range(trials):
+
+def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
+    sample = _Sample()
+    for t in range(start, stop):
         rng = np.random.default_rng((seed, 1, t))
         family = random_box_family(int(rng.integers(2, 13)), rng)
-        sweep.checked += 1
         g = directed_intersection_graph(family)
         rf = reach_from_masks(g)
         rt = reach_to_masks(g)
@@ -784,7 +792,19 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED) -> Verificati
                 if rt[i] & rt[j] and rf[i] & rf[j] and not boxes_intersect(boxes[i], boxes[j]):
                     pair = f"{family.ids[i]},{family.ids[j]}"
                     detail = f"general trial {t}: boxes {pair} share ancestor and descendant but do not intersect"
-                    sweep.sample.add(_box_entry(family, detail))
+                    sample.add(_box_entry(family, detail))
+    return {"checked": stop - start, "sample": sample}
+
+
+def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: int = 1) -> VerificationReport:
+    """Transverse families give extremely reduced transitive graphs; common
+    ancestor plus common descendant forces intersecting boxes; the extremal
+    family reproduces the extremal graph exactly."""
+    if trials < 0:
+        raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")
+    with _Sweep(workers) as sweep:
+        sweep.run(_scan_transverse_boxes, trials, seed)
+        sweep.run(_scan_general_boxes, trials, seed)
 
     specs = [ExtremalSpec(r=r, l=l, s=s) for r, l, s in product(range(1, 6), range(2, 6), range(6))]
     for spec in specs:
@@ -828,7 +848,7 @@ _CLAIM_TABLE: dict[str, tuple[int | None, int | None, Callable[[SimpleNamespace]
     ),
     "closure": (6, MAX_PREDICATE_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
     "separations": (6, MAX_PREDICATE_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
-    "boxes": (None, None, lambda o: [verify_box_props(o.trials, o.seed)]),
+    "boxes": (None, None, lambda o: [verify_box_props(o.trials, o.seed, workers=o.workers)]),
     "clique": (8, MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(o.n, limit=o.limit)]),
 }
 

@@ -11,13 +11,14 @@ a literal brute-force oracle:
 * extremely reduced -- no non-adjacent pair has both a common ancestor
                        and a common descendant.
 
-The fast strongly-reduced check needs neither paths nor orders: a
+The fast checks need neither paths nor orders. A DAG is reduced iff no
+incomparable pair has both a common ancestor and a common descendant
+(see :func:`is_reduced`), which costs O(n^2) bitmask operations; a
 reduced DAG is strongly reduced iff no two edges cross without the
 shortcut that would make the union of their paths a path (see
-:func:`is_strongly_reduced` for the criterion and its proof), which
-costs O(m * n) bitmask operations. The brute-force oracles quantify
-literally over paths and orders, and the two routes are cross-checked
-exhaustively in the test suite.
+:func:`is_strongly_reduced`), which costs O(m * n). The brute-force
+oracles quantify literally over paths and orders, and the two routes
+are cross-checked exhaustively in the test suite.
 """
 
 from __future__ import annotations
@@ -33,40 +34,11 @@ from .graph import (
     bits,
     reach_from_masks,
     reach_to_masks,
-    topological_order,
 )
 
 PathSeq = tuple[int, ...]
 
 DEFAULT_PATH_CAP = 100_000
-
-
-def _topo_positions(g: Dag) -> tuple[int, ...] | None:
-    """Position of each vertex in the canonical order; None when it is the identity."""
-    if g.is_forward():
-        return None
-    pos = [0] * g.n
-    for i, v in enumerate(topological_order(g)):
-        pos[v] = i
-    return tuple(pos)
-
-
-def _mask_vertices(mask: int, pos: tuple[int, ...] | None) -> list[int]:
-    vs = list(bits(mask))
-    if pos is not None:
-        vs.sort(key=pos.__getitem__)
-    return vs
-
-
-def _is_path_mask(g: Dag, mask: int, pos: tuple[int, ...] | None) -> bool:
-    succ = g.succ_masks
-    vs = _mask_vertices(mask, pos)
-    prev = vs[0]
-    for v in vs[1:]:
-        if not succ[prev] >> v & 1:
-            return False
-        prev = v
-    return True
 
 
 def path_vertex_masks(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> list[int]:
@@ -171,44 +143,50 @@ def transitive_closure(g: Dag) -> Dag:
     return Dag._unchecked(g.n, edges)
 
 
+def _joined_pairs_linked(g: Dag, linked: Sequence[int]) -> bool:
+    """True iff every pair x, y with a common ancestor and a common descendant has y in ``linked[x]``."""
+    rf = reach_from_masks(g)
+    rt = reach_to_masks(g)
+    for x in range(g.n):
+        ax, dx, lx = rt[x], rf[x], linked[x]
+        if ax and dx:
+            for y in range(x + 1, g.n):
+                if ax & rt[y] and dx & rf[y] and not lx >> y & 1:
+                    return False
+    return True
+
+
 def is_extremely_reduced(g: Dag) -> bool:
     """No non-adjacent pair has both a common ancestor and a common descendant."""
-    rf = reach_from_masks(g)
-    rt = reach_to_masks(g)
-    succ = g.succ_masks
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if succ[x] >> y & 1 or succ[y] >> x & 1:
-                continue
-            if rt[x] & rt[y] and rf[x] & rf[y]:
-                return False
-    return True
+    return _joined_pairs_linked(g, [s | p for s, p in zip(g.succ_masks, g.pred_masks)])
 
 
-def is_reduced(g: Dag, order: TopoOrder | None = None) -> bool:
-    """Fast reduced check over one fixed topological order.
+def is_reduced(g: Dag) -> bool:
+    """Fast reduced check: no incomparable pair has both a common ancestor and a common descendant.
 
-    For every reachable pair (v, w), the vertices on v->w paths, sorted
-    by the order, must form a directed path. Which topological order is
-    fixed does not affect the outcome: if the sorted span is a path, its
-    edges force the same total order under every topological order.
+    This is the extremely-reduced condition with "incomparable" in place
+    of "non-adjacent"; it costs O(n^2) bitmask operations and needs no
+    topological order. The verdict is cached on ``g``.
+
+    Proof. (=>) If incomparable x, y had a common ancestor v and a common
+    descendant w, both would lie on v->w paths, so span(v, w) would hold
+    two incomparable vertices; but a span that is a directed path is a
+    chain of the reachability order.
+
+    (<=) Every vertex of span(v, w) is v, w, or has v as ancestor and w as
+    descendant, so with no such pair every span is a chain, and sorting it
+    by any topological order lists it along reachability. If consecutive
+    vertices x ~> y of that list had no edge x->y, the first step z of an
+    x->y path would lie on a v->w path strictly between x and y. So
+    consecutive vertices are adjacent: the sorted span is a directed path.
     """
-    rf = reach_from_masks(g)
-    rt = reach_to_masks(g)
-    if order is None:
-        pos = _topo_positions(g)
-    else:
-        inv = [0] * g.n
-        for i, v in enumerate(order):
-            inv[v] = i
-        pos = tuple(inv)
-    for v in range(g.n):
-        rv = rf[v]
-        for w in bits(rv):
-            span = (rv & rt[w]) | 1 << v | 1 << w
-            if not _is_path_mask(g, span, pos):
-                return False
-    return True
+    flag = g._cache.get("reduced")
+    if flag is None:
+        rf = reach_from_masks(g)
+        rt = reach_to_masks(g)
+        flag = _joined_pairs_linked(g, [f | t for f, t in zip(rf, rt)])
+        g._cache["reduced"] = flag
+    return flag
 
 
 def is_strongly_reduced(g: Dag) -> bool:
@@ -284,9 +262,11 @@ def is_strongly_reduced_bruteforce(
     """Oracle for :func:`is_strongly_reduced`: quantify over everything.
 
     Every topological order x every pair of joining paths; the ordered
-    union must be a directed path each time.
+    union must be a directed path each time. The orders are listed once
+    the first pair with two joining paths is met; a graph without one
+    passes whatever its number of orders.
     """
-    orders = all_topological_orders(g, order_cap)
+    orders = None
     rf = reach_from_masks(g)
     for v in range(g.n):
         for w in bits(rf[v]):
@@ -294,6 +274,8 @@ def is_strongly_reduced_bruteforce(
             k = len(paths)
             if k < 2:
                 continue
+            if orders is None:
+                orders = all_topological_orders(g, order_cap)
             for order in orders:
                 for i in range(k):
                     for j in range(i + 1, k):

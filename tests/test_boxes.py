@@ -223,6 +223,12 @@ class TestBoxCsv:
             parse_box_csv("id,ix_lo,ix_hi,jy_lo,jy_hi\nb,1,1,0,1\n")
         assert "line 2" in str(err.value)
 
+    def test_line_after_multiline_field(self):
+        # The quoted id spans lines 2 and 3, so the short row is line 4.
+        with pytest.raises(ParseError) as err:
+            parse_box_csv(CSV_HEAD + '"a\nb",0,1,0,1\nc\n')
+        assert err.value.line == 4
+
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_box_csv("")

@@ -23,7 +23,7 @@ from dagx import (
 )
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import longest_path_length
-from dagx.predicates import is_extremely_reduced
+from dagx.predicates import is_extremely_reduced, is_reduced
 from dagx.harness import _LEVEL_BLOCK, CHORDED_CHAIN_EDGES, _levels_chunk
 
 from conftest import CHORDED_CHAIN
@@ -204,6 +204,10 @@ class TestBoxClaim:
     def test_deterministic(self):
         assert stripped(verify_box_props(25, seed=3)) == stripped(verify_box_props(25, seed=3))
 
+    def test_no_random_trials(self):
+        # An empty trial range makes no shards; only the extremal specs run.
+        assert verify_box_props(0, workers=2).checked == 5 * 4 * 6
+
 
 class TestWorkers:
     @pytest.mark.parametrize(
@@ -217,8 +221,9 @@ class TestWorkers:
             lambda w: find_separations(5, workers=w),
             lambda w: verify_turan_bound(7, workers=w),
             lambda w: verify_theorem_bound(6, "reduced", workers=w),
+            lambda w: verify_box_props(60, seed=5, workers=w),
         ],
-        ids=["turan", "theorem", "implications", "equiv", "closure", "separations", "turan-n7", "theorem-n6"],
+        ids=["turan", "theorem", "implications", "equiv", "closure", "separations", "turan-n7", "theorem-n6", "boxes"],
     )
     def test_sharded_reports_identical(self, run):
         base = stripped(run(1))
@@ -340,6 +345,35 @@ class TestViolationOverflow:
         report = run()
         assert len(report.violations) == 21
         assert overflow_detail(report) == f"{total - 20} further violations not listed"
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_closure_one_violation_per_reduced_input(self, monkeypatch, workers):
+        # Closures are checked once per distinct closure; every reduced
+        # input still gets its own entry.
+        reduced = sum(is_reduced(dag_from_index(n, mask)) for n in range(1, 5) for mask in range(dag_count(n)))
+        real = harness.is_extremely_reduced
+        monkeypatch.setattr(harness, "is_extremely_reduced", lambda *args: not real(*args))
+        report = verify_closure(4, workers=workers)
+        assert report.params["reduced_inputs"] == reduced
+        assert overflow_detail(report) == f"{reduced - 20} further violations not listed"
+        assert {v["detail"] for v in report.violations[:-1]} == {
+            "closure of a reduced DAG fails a reducedness predicate"
+        }
+
+    @pytest.mark.parametrize("trial_kind", ["transverse", "general"])
+    def test_box_props_sharded_with_violations(self, monkeypatch, trial_kind):
+        if trial_kind == "transverse":
+            real = harness.is_extremely_reduced
+            monkeypatch.setattr(harness, "is_extremely_reduced", lambda *args: not real(*args))
+        else:
+            # Every pair then shares an ancestor and a descendant, so every
+            # disjoint pair of boxes is a violation.
+            for rows in ("reach_from_masks", "reach_to_masks"):
+                monkeypatch.setattr(harness, rows, lambda g: ((1 << g.n) - 1,) * g.n)
+        report = verify_box_props(60, seed=5)
+        assert report.violations[0]["detail"].startswith(trial_kind)
+        assert overflow_detail(report).endswith("further violations not listed")
+        assert stripped(verify_box_props(60, seed=5, workers=3)) == stripped(report)
 
     def test_random_agreement_uses_the_scan_texts(self, monkeypatch):
         real = harness.is_reduced_bruteforce

@@ -167,6 +167,46 @@ class TestPredicateExamples:
             assert is_extremely_reduced(g)
 
 
+class TestIncomparableRule:
+    """Reduced == no incomparable pair with a common ancestor and a common descendant."""
+
+    @staticmethod
+    def literal(g):
+        r = reachability(g)
+        n = g.n
+        return not any(
+            not r[x][y]
+            and not r[y][x]
+            and any(r[v][x] and r[v][y] for v in range(n))
+            and any(r[x][w] and r[y][w] for w in range(n))
+            for x in range(n)
+            for y in range(n)
+            if x != y
+        )
+
+    def test_exhaustive_and_relabeled(self):
+        from itertools import permutations
+
+        for n in range(1, 6):
+            perms = list(permutations(range(n)))
+            for g in enumerate_dags(n):
+                assert is_reduced(g) == self.literal(g)
+                for perm in (perms[len(perms) // 3], perms[-1]):
+                    h = Dag(n, [(perm[u], perm[v]) for u, v in g.edges])
+                    assert is_reduced(h) == self.literal(h) == is_reduced(g)
+
+    def test_verdict_computed_once(self, chorded_chain, monkeypatch):
+        import dagx.predicates as predicates
+
+        calls = []
+        real = predicates._joined_pairs_linked
+        monkeypatch.setattr(predicates, "_joined_pairs_linked", lambda *args: calls.append(1) or real(*args))
+        assert is_reduced(chorded_chain)
+        assert not is_strongly_reduced(chorded_chain)
+        assert is_reduced(chorded_chain)
+        assert len(calls) == 1
+
+
 class TestCrossingRule:
     """Strongly reduced == reduced with no edge pair p->q, a->c, p ~> a ~> q ~> c, lacking a->q."""
 
@@ -217,18 +257,35 @@ class TestOracleAgreement:
                 assert not (ex and not st)
                 assert not (st and not rd)
 
+    def test_strongly_oracle_lists_orders_only_when_needed(self, diamond):
+        # Dag(9) has 9! orders but no pair with two joining paths.
+        assert is_strongly_reduced_bruteforce(Dag(9))
+        with pytest.raises(CapExceededError):
+            is_strongly_reduced_bruteforce(diamond, order_cap=1)
+
     @given(forward_dags(min_n=6, max_n=8))
     @settings(max_examples=60, deadline=None)
     def test_random_agreement(self, g):
         assert is_reduced_bruteforce(g) == is_reduced(g)
         assert is_strongly_reduced_bruteforce(g) == is_strongly_reduced(g)
 
-    def test_reduced_order_independent(self):
+    def test_reduced_definition_under_every_order(self):
+        # The literal definition: every span, sorted by a topological
+        # order, is a directed path; checked under every order.
         for n in range(1, 6):
             for g in enumerate_dags(n):
+                r = reachability(g)
+                spans = [
+                    {v, w} | {x for x in range(n) if r[v][x] and r[x][w]}
+                    for v in range(n)
+                    for w in range(n)
+                    if r[v][w]
+                ]
                 expected = is_reduced(g)
                 for order in all_topological_orders(g):
-                    assert is_reduced(g, order=order) == expected
+                    pos = {v: i for i, v in enumerate(order)}
+                    literal = all(is_sequence_path(g, tuple(sorted(span, key=pos.__getitem__))) for span in spans)
+                    assert literal == expected
 
     @given(forward_dags())
     @settings(max_examples=150)
