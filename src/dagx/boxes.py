@@ -21,11 +21,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DagxError, DegenerateIntervalError, InvalidParamsError, ParseError
 from .graph import Dag
-from .generators import ExtremalSpec
+from .generators import ExtremalSpec, _rng
 
 
 # Largest decimal exponent a coordinate string may carry: Fraction("1e99999999999")
@@ -192,7 +190,7 @@ def random_box_family(count: int, seed) -> BoxFamily:
     """Unconstrained random boxes on a half-integer grid."""
     if count < 1:
         raise InvalidParamsError(f"need count >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     entries = []
     for i in range(count):
         x0 = Fraction(int(rng.integers(-40, 40)), 2)
@@ -216,7 +214,7 @@ def random_transverse_family(
     jitter is large enough that validation occasionally fails, in which
     case the draw is rejected and retried.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     def jitter(lo: int, hi: int, den: int = 16) -> Fraction:
         return Fraction(int(rng.integers(lo, hi + 1)), den)

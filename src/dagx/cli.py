@@ -21,7 +21,7 @@ from .boxes import (
     is_transverse_family,
     parse_box_csv,
 )
-from .errors import DagxError, InvalidParamsError
+from .errors import DagxError, InvalidParamsError, ParseError
 from .generators import ExtremalSpec, extremal_for, random_dag, turan_dag
 from .graph import format_edge_list, level_partition, parse_edge_list
 from .harness import CLAIMS, DEFAULT_SEED, verify_claim
@@ -40,8 +40,11 @@ EXIT_VALIDATION = 3
 
 
 def _read(path: str) -> str:
-    with click.open_file(path, "r") as handle:
-        return handle.read()
+    try:
+        with click.open_file(path, "r") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {exc.encoding} text (byte {exc.start})") from None
 
 
 @click.group()

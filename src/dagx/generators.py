@@ -158,6 +158,14 @@ def extremal_for(n: int, ell: int) -> Dag:
     return extremal_dag(ExtremalSpec(r=(m + 1) // 2, l=ell, s=m // 2))
 
 
+def _rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``; a seed it refuses, such as a negative one, is bad input."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError as exc:
+        raise InvalidParamsError(f"bad seed {seed!r}: {exc}") from None
+
+
 def random_dag(n: int, p: float, seed) -> Dag:
     """Forward-labeled random DAG: each pair (u, v), u < v, kept with probability p.
 
@@ -169,7 +177,7 @@ def random_dag(n: int, p: float, seed) -> Dag:
         raise InvalidParamsError(f"edge probability must be in [0, 1], got {p}")
     if n < 1:
         raise InvalidParamsError(f"vertex count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     pairs = pair_table(n)
     if not pairs:
         return Dag._unchecked(n, frozenset())

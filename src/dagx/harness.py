@@ -5,7 +5,9 @@ claims by scanning the full forward-labeled enumeration (every subset of
 {(i, j) : i < j}), existence claims by searching that enumeration for
 witnesses, and the box claims over seeded random families. Fast
 predicates are cross-checked bit-for-bit against the literal brute-force
-oracles.
+oracles. The equiv-transitive, closure and separations sweeps read their
+verdicts off the whole-block reach kernel of :mod:`dagx.kernels`, whose
+tests check it against the scalar predicates on every DAG with n <= 6.
 
 Scans partition the enumeration index range across a worker pool; shards
 share nothing and merge associatively, so reports are identical for any
@@ -53,7 +55,6 @@ from .generators import (
 from .graph import (
     DEFAULT_ORDER_CAP,
     Dag,
-    bits,
     format_edge_list,
     longest_path_length,
     reach_from_masks,
@@ -67,29 +68,27 @@ from .predicates import (
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
     is_transitive,
-    succ_masks_transitive,
-    transitive_closure,
 )
+from .kernels import _LEVEL_BLOCK, _REACH_BLOCK, _blocks, _edge_rows, _levels_chunk, _reach_verdicts
 
 DEFAULT_SEED = 271828
 
-# Scan ceilings. Levels and edge counts come from the whole-block kernel
-# below: the turan sweep, which needs nothing else, runs through n = 8
+# Scan ceilings. Levels and edge counts come from the whole-block levels
+# kernel: the turan sweep, which needs nothing else, runs through n = 8
 # (2^28 graphs, about half a minute on one core); the class-bound sweep,
-# which also builds and tests gated graphs, stops at n = 7. Predicate and
-# oracle sweeps build a Dag per mask and stop at n = 6.
+# which also builds and tests gated graphs, stops at n = 7. The
+# equiv-transitive, closure and separations sweeps read every verdict off
+# the whole-block reach kernel and run through n = 8. The implication
+# sweep runs the brute-force oracles on a Dag per mask and stops at n = 6.
 MAX_TURAN_VERTICES = 8
 MAX_SCAN_VERTICES = 7
+MAX_REACH_VERTICES = 8
 MAX_PREDICATE_VERTICES = 6
 # The clique-free maximum is proved by a hitting-set search, not an
 # enumeration; n = 8 takes about 0.6 s on one core of a 2-core x86 box.
 MAX_CLIQUE_VERTICES = 8
 
 _VIOLATION_SAMPLE = 20
-
-# Masks per call of the levels kernel: large enough to amortise numpy's
-# per-call cost, small enough that its int8 work arrays stay in cache.
-_LEVEL_BLOCK = 8192
 
 # Known 5-vertex separating example: the chain 0->1->2->3->4 with chords
 # 0->3 and 1->4. The span of (0, 4) sorted is the full chain (a path), so
@@ -198,6 +197,8 @@ class _Sweep(ExitStack):
 
     def __init__(self, workers: int):
         super().__init__()
+        if workers < 1:
+            raise InvalidParamsError(f"need workers >= 1, got {workers}")
         self.workers = workers
         self.checked = 0
         self.sample = _Sample()
@@ -242,43 +243,6 @@ def _max_edges(parts: list[dict]) -> list[int]:
     return [max(column) for column in zip(*(part["max_edges"] for part in parts))]
 
 
-def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
-
-    Pair i = (u, v) of ``pair_table(n)`` is edge bit i. Walking the pairs
-    in that lexicographic order, every edge into u comes before any edge
-    out of u, so ``lev[u]`` is final when pair (u, v) relaxes
-    ``lev[v] = max(lev[v], bit_i * (lev[u] + 1))``. Bits above the highest
-    bit in which start and stop - 1 differ are the same for the whole
-    block, so their pairs are skipped or relaxed unconditionally. int8
-    holds every level and edge count up to n = 16, past any n whose
-    enumeration could finish.
-    """
-    pairs = pair_table(n)
-    size = stop - start
-    k = min(len(pairs), (start ^ (stop - 1)).bit_length())
-    raw = np.arange(start, stop, dtype="<u8").view(np.uint8).reshape(size, 8)[:, : -(-k // 8)]
-    bit = np.unpackbits(np.ascontiguousarray(raw.T), axis=0, count=k, bitorder="little").view(np.int8)
-    lev = np.zeros((n, size), dtype=np.int8)
-    step = np.empty(size, dtype=np.int8)
-    for i, (u, v) in enumerate(pairs):
-        if i < k:
-            np.add(lev[u], 1, out=step)
-            np.multiply(step, bit[i], out=step)
-            np.maximum(lev[v], step, out=lev[v])
-        elif start >> i & 1:
-            np.add(lev[u], 1, out=step)
-            np.maximum(lev[v], step, out=lev[v])
-    edges = bit.sum(axis=0, dtype=np.int8)
-    edges += (start >> k).bit_count()
-    return lev.max(axis=0), edges
-
-
-def _blocks(start: int, stop: int):
-    for a in range(start, stop, _LEVEL_BLOCK):
-        yield a, min(a + _LEVEL_BLOCK, stop)
-
-
 # ---------------------------------------------------------------------------
 # Turan bound: edges <= t(n, ell + 1) over the full enumeration.
 
@@ -292,7 +256,7 @@ def _scan_turan(n: int, start: int, stop: int) -> dict:
     bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
     seen = np.zeros((n, comb(n, 2) + 1), dtype=bool)
     sample = _Sample()
-    for a, b in _blocks(start, stop):
+    for a, b in _blocks(start, stop, _LEVEL_BLOCK):
         ell, edges = _levels_chunk(n, a, b)
         seen[ell, edges] = True
         over = np.flatnonzero(edges > bound[ell])
@@ -345,7 +309,7 @@ def _scan_class_bound(n: int, klass: str, start: int, stop: int) -> dict:
     predicate = _CLASS_PREDICATES[klass]
     max_edges = [-1] * n
     sample = _Sample()
-    for a, b in _blocks(start, stop):
+    for a, b in _blocks(start, stop, _LEVEL_BLOCK):
         ell, edges = _levels_chunk(n, a, b)
         # Class membership only matters for graphs that could beat the
         # running class maximum or the bound itself; everything below is
@@ -487,6 +451,8 @@ def verify_implications(
         raise InvalidParamsError(f"implications: need random_trials >= 0, got {random_trials}")
     if random_trials and random_max_n < 2:
         raise InvalidParamsError(f"implications: need random_max_n >= 2, got {random_max_n}")
+    if seed < 0:
+        raise InvalidParamsError(f"implications: need seed >= 0, got {seed}")
     with _Sweep(workers) as sweep:
         for _ in sweep.over_n(_scan_implications, max_n):
             pass
@@ -510,26 +476,26 @@ def verify_implications(
 # On transitive DAGs the three predicates coincide.
 
 
+def _mask_entries(n: int, start: int, hits: np.ndarray, details: Callable[[int], list[str]]) -> Iterator[dict]:
+    """One entry per detail of each mask start + j, j in ``hits``; each graph is built once, when listed."""
+    for j in hits.tolist():
+        g = _dag_at(n, start + j)
+        for detail in details(j):
+            yield _graph_entry(g, detail)
+
+
 def _scan_equiv(n: int, start: int, stop: int) -> dict:
-    # Transitivity is read off successor masks built straight from the
-    # mask; only the transitive minority is built as a Dag.
-    pairs = pair_table(n)
     sample = _Sample()
     transitive_count = 0
-    for mask in range(start, stop):
-        succ = [0] * n
-        for i in bits(mask):
-            u, v = pairs[i]
-            succ[u] |= 1 << v
-        if not succ_masks_transitive(succ):
-            continue
-        transitive_count += 1
-        g = _dag_at(n, mask)
-        ex = is_extremely_reduced(g)
-        st = is_strongly_reduced(g)
-        rd = is_reduced(g)
-        if not ex == st == rd:
-            sample.add(_graph_entry(g, f"transitive but predicates differ: extremely={ex} strongly={st} reduced={rd}"))
+    for a, b in _blocks(start, stop, _REACH_BLOCK):
+        v = _reach_verdicts(*_edge_rows(n, a, b))
+        transitive_count += int(np.count_nonzero(v.transitive))
+        hits = np.flatnonzero(v.transitive & ((v.extremely != v.strongly) | (v.strongly != v.reduced)))
+        details = lambda j: [
+            f"transitive but predicates differ: extremely={bool(v.extremely[j])}"
+            f" strongly={bool(v.strongly[j])} reduced={bool(v.reduced[j])}"
+        ]
+        sample.extend(hits.size, _mask_entries(n, a, hits, details))
     return {"checked": stop - start, "transitive": transitive_count, "sample": sample}
 
 
@@ -537,7 +503,7 @@ def verify_equivalence_transitive(
     max_n: int = 6,
     *,
     workers: int = 1,
-    limit: int = MAX_PREDICATE_VERTICES,
+    limit: int = MAX_REACH_VERTICES,
 ) -> VerificationReport:
     """On every enumerated transitive DAG the three predicates agree."""
     _require_range("equiv-transitive", max_n, limit)
@@ -552,33 +518,36 @@ def verify_equivalence_transitive(
 # Transitive closure: transitivity, idempotence, monotonicity, class lifting.
 
 
+_CLOSURE_FAULTS = (
+    "closure is not transitive",
+    "closure dropped an edge",
+    "closure is not idempotent",
+    "closure of a reduced DAG fails a reducedness predicate",
+)
+
+
 def _scan_closure(n: int, start: int, stop: int) -> dict:
-    # Many inputs share a closure, so the checks on the closure alone
-    # (transitive, idempotent, lifts every class) run once per distinct one.
-    closure_checks: dict[Dag, tuple[bool, bool, bool]] = {}
+    # The closure's successor rows are the input's rf rows, and its
+    # predecessor rows the input's rt rows; the closure's own verdicts and
+    # reach rows come from running the kernel on those.
     sample = _Sample()
     reduced_count = 0
-    for mask in range(start, stop):
-        g = _dag_at(n, mask)
-        c = transitive_closure(g)
-        checks = closure_checks.get(c)
-        if checks is None:
-            checks = closure_checks[c] = (
-                is_transitive(c),
-                transitive_closure(c).edges == c.edges,
-                is_reduced(c) and is_strongly_reduced(c) and is_extremely_reduced(c),
-            )
-        transitive, idempotent, lifts = checks
-        if not transitive:
-            sample.add(_graph_entry(g, "closure is not transitive"))
-        if not g.edges <= c.edges:
-            sample.add(_graph_entry(g, "closure dropped an edge"))
-        if not idempotent:
-            sample.add(_graph_entry(g, "closure is not idempotent"))
-        if is_reduced(g):
-            reduced_count += 1
-            if not lifts:
-                sample.add(_graph_entry(g, "closure of a reduced DAG fails a reducedness predicate"))
+    for a, b in _blocks(start, stop, _REACH_BLOCK):
+        succ, pred = _edge_rows(n, a, b)
+        g = _reach_verdicts(succ, pred)
+        c = _reach_verdicts(g.rf, g.rt)
+        faults = np.stack(
+            [
+                ~c.transitive,
+                (succ & ~g.rf).any(axis=0),
+                (c.rf != g.rf).any(axis=0),
+                g.reduced & ~(c.reduced & c.strongly & c.extremely),
+            ]
+        )
+        reduced_count += int(np.count_nonzero(g.reduced))
+        hits = np.flatnonzero(faults.any(axis=0))
+        details = lambda j: [text for text, hit in zip(_CLOSURE_FAULTS, faults[:, j]) if hit]
+        sample.extend(int(np.count_nonzero(faults)), _mask_entries(n, a, hits, details))
     return {"checked": stop - start, "reduced": reduced_count, "sample": sample}
 
 
@@ -586,7 +555,7 @@ def verify_closure(
     max_n: int = 6,
     *,
     workers: int = 1,
-    limit: int = MAX_PREDICATE_VERTICES,
+    limit: int = MAX_REACH_VERTICES,
 ) -> VerificationReport:
     """Closure is transitive, monotone, idempotent, and lifts reducedness to all classes."""
     _require_range("closure", max_n, limit)
@@ -604,28 +573,24 @@ _SEPARATION_KINDS = ("reduced-not-strongly", "strongly-not-extremely")
 
 
 def _scan_separations(n: int, start: int, stop: int) -> dict:
-    first_a: int | None = None  # reduced but not strongly reduced
-    first_b: int | None = None  # strongly but not extremely reduced
-    for mask in range(start, stop):
-        g = _dag_at(n, mask)
-        strong: bool | None = None
-        if first_a is None and is_reduced(g):
-            strong = is_strongly_reduced(g)
-            if not strong:
-                first_a = mask
-        if first_b is None and not is_extremely_reduced(g):
-            if strong is None:
-                strong = is_strongly_reduced(g)
-            if strong:
-                first_b = mask
-    return {"checked": stop - start, "sample": _Sample(), "first": (first_a, first_b)}
+    # First index of each kind in this shard: reduced but not strongly
+    # reduced, and strongly but not extremely reduced.
+    first: list[int | None] = [None, None]
+    for a, b in _blocks(start, stop, _REACH_BLOCK):
+        v = _reach_verdicts(*_edge_rows(n, a, b))
+        for kind, hits in enumerate((v.reduced & ~v.strongly, v.strongly & ~v.extremely)):
+            if first[kind] is None and hits.any():
+                first[kind] = a + int(hits.argmax())
+        if None not in first:
+            break
+    return {"checked": stop - start, "sample": _Sample(), "first": tuple(first)}
 
 
 def find_separations(
     max_n: int = 6,
     *,
     workers: int = 1,
-    limit: int = MAX_PREDICATE_VERTICES,
+    limit: int = MAX_REACH_VERTICES,
 ) -> VerificationReport:
     """Search the enumeration for class-separating witnesses.
 
@@ -802,6 +767,8 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     family reproduces the extremal graph exactly."""
     if trials < 0:
         raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")
+    if seed < 0:
+        raise InvalidParamsError(f"boxes: need seed >= 0, got {seed}")
     with _Sweep(workers) as sweep:
         sweep.run(_scan_transverse_boxes, trials, seed)
         sweep.run(_scan_general_boxes, trials, seed)
@@ -843,11 +810,11 @@ _CLAIM_TABLE: dict[str, tuple[int | None, int | None, Callable[[SimpleNamespace]
     ),
     "equiv-transitive": (
         6,
-        MAX_PREDICATE_VERTICES,
+        MAX_REACH_VERTICES,
         lambda o: [verify_equivalence_transitive(o.n, workers=o.workers, limit=o.limit)],
     ),
-    "closure": (6, MAX_PREDICATE_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
-    "separations": (6, MAX_PREDICATE_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
+    "closure": (6, MAX_REACH_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
+    "separations": (6, MAX_REACH_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
     "boxes": (None, None, lambda o: [verify_box_props(o.trials, o.seed, workers=o.workers)]),
     "clique": (8, MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(o.n, limit=o.limit)]),
 }

@@ -122,18 +122,14 @@ def ordered_union(p: PathSeq, q: PathSeq, order: TopoOrder) -> tuple[int, ...]:
     return tuple(sorted(merged, key=pos.__getitem__))
 
 
-def succ_masks_transitive(succ: Sequence[int]) -> bool:
-    """True iff the graph with successor bitmasks ``succ`` is transitively closed."""
+def is_transitive(g: Dag) -> bool:
+    """True iff the edge set is transitively closed."""
+    succ = g.succ_masks
     for su in succ:
         for v in bits(su):
             if succ[v] & ~su:
                 return False
     return True
-
-
-def is_transitive(g: Dag) -> bool:
-    """True iff the edge set is transitively closed."""
-    return succ_masks_transitive(g.succ_masks)
 
 
 def transitive_closure(g: Dag) -> Dag:

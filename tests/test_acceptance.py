@@ -10,6 +10,7 @@ from math import comb
 
 from dagx import (
     Dag,
+    find_separations,
     interval_turan,
     is_extremely_reduced,
     is_reduced,
@@ -188,4 +189,26 @@ def test_criterion_11_implications_and_oracle_agreement_exhaustive_n6():
         11,
         f"extremely => strongly => reduced and fast == brute force on all {report.checked} DAGs, n <= 6,"
         f" in {elapsed:.1f}s",
+    )
+
+
+def test_criterion_12_reach_kernel_claims_exhaustive_n7():
+    t0 = time.perf_counter()
+    equiv = verify_equivalence_transitive(7, workers=1, limit=7)
+    closure = verify_closure(7, workers=1, limit=7)
+    separations = find_separations(7, workers=1, limit=7)
+    elapsed = time.perf_counter() - t0
+    total = sum(1 << comb(n, 2) for n in range(1, 8))
+    assert equiv.violations == [] and closure.violations == [] and separations.violations == []
+    assert equiv.checked == closure.checked == total == 2_131_019
+    # 5,231 transitive and 24,023 reduced DAGs at n <= 6, plus 96,428 and
+    # 1,055,568 at n = 7.
+    assert equiv.params["transitive_graphs"] == 5_231 + 96_428
+    assert closure.params["reduced_inputs"] == 24_023 + 1_055_568
+    assert {w["kind"] for w in separations.witnesses} == {"reduced-not-strongly", "strongly-not-extremely"}
+    assert elapsed < 60, f"n=7 reach-kernel sweeps took {elapsed:.0f}s"
+    passed(
+        12,
+        f"predicates coincide on {equiv.params['transitive_graphs']} transitive DAGs, closure lifts and is"
+        f" idempotent on {total} DAGs, separations found, n <= 7, in {elapsed:.1f}s",
     )

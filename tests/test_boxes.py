@@ -113,6 +113,12 @@ class TestDirectedIntersectionGraph:
                     fam = extremal_box_family(spec)
                     assert directed_intersection_graph(fam) == extremal_dag(spec)
 
+    @pytest.mark.parametrize("make", [lambda seed: random_box_family(4, seed), random_transverse_family])
+    @pytest.mark.parametrize("seed", [-1, (5, 0, -3)])
+    def test_negative_seed(self, make, seed):
+        with pytest.raises(InvalidParamsError):
+            make(seed)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_random_families_acyclic_and_antisymmetric(self, seed):

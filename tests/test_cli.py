@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dagx import Dag, ExtremalSpec, extremal_dag, parse_box_csv, parse_edge_list
 from dagx.cli import main
@@ -132,6 +134,11 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--n", "5", "--p", "0.5", "--seed", "-1")
+        assert code == 2
+        assert out == "" and "seed" in err and "internal error" not in err
+
 
 class TestBoxesGraph:
     def test_extremal_matches(self, capsys, tmp_path):
@@ -223,6 +230,25 @@ class TestVerify:
         assert code == 2
         assert out == "" and "random_trials" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("boxes", "--seed", "-1", "--trials", "2"),
+            ("implications", "--seed", "-5", "--max-n", "2", "--rand-trials", "3"),
+        ],
+        ids=["boxes", "implications"],
+    )
+    def test_negative_seed_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == "" and "seed" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_exit_2(self, capsys, workers):
+        code, out, err = run(capsys, "verify", "turan", "--workers", workers, "--max-n", "3")
+        assert code == 2
+        assert out == "" and "workers" in err
+
     def test_negative_box_trials_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "boxes", "--trials", "-5")
         assert code == 2
@@ -244,3 +270,40 @@ class TestVerify:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "does-not-exist.txt")
         assert code == 2
+
+
+# Input files for the property below: any text, any bytes, and text shaped
+# like the two formats, so that parsing gets past the header.
+_EDGE_LIST = st.builds(
+    lambda n, edges: f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges),
+    st.integers(-1, 12),
+    st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12)), max_size=12),
+)
+_BOX_CSV = st.lists(
+    st.lists(st.text(alphabet="0123456789eE+-./_ x", max_size=6), min_size=4, max_size=5).map(",".join),
+    max_size=5,
+).map(lambda rows: "id,ix_lo,ix_hi,jy_lo,jy_hi\n" + "".join(f"b{i},{row}\n" for i, row in enumerate(rows)))
+_ANY_FILE = st.one_of(
+    st.binary(),
+    st.text().map(lambda t: t.encode("utf-8", "surrogatepass")),
+    _EDGE_LIST.map(str.encode),
+    _BOX_CSV.map(str.encode),
+)
+
+
+class TestExitCodeContract:
+    """Whatever a file holds, the file commands exit 0, 2 or 3; exit 1 is an internal error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("analyze",), ("closure",), ("boxes-graph",), ("boxes-graph", "--require-transverse")],
+        ids=["analyze", "closure", "boxes-graph", "boxes-graph-transverse"],
+    )
+    @given(data=_ANY_FILE)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_file(self, capsys, tmp_path, argv, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        code = main([argv[0], str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err

@@ -188,6 +188,11 @@ class TestRandomDag:
         with pytest.raises(InvalidParamsError):
             random_dag(4, 1.5, 0)
 
+    @pytest.mark.parametrize("seed", [-1, (3, -1)])
+    def test_negative_seed(self, seed):
+        with pytest.raises(InvalidParamsError):
+            random_dag(4, 0.5, seed)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_always_valid(self, seed):

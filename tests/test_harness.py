@@ -1,6 +1,7 @@
 import json
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 import dagx.harness as harness
@@ -24,7 +25,8 @@ from dagx import (
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced
-from dagx.harness import _LEVEL_BLOCK, CHORDED_CHAIN_EDGES, _levels_chunk
+from dagx.harness import CHORDED_CHAIN_EDGES
+from dagx.kernels import _LEVEL_BLOCK, _levels_chunk
 
 from conftest import CHORDED_CHAIN
 
@@ -133,6 +135,10 @@ class TestImplicationsClaim:
         with pytest.raises(InvalidParamsError):
             verify_implications(3, random_trials=5, random_max_n=1)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParamsError, match="seed"):
+            verify_implications(2, random_trials=3, seed=-5)
+
     def test_random_trials_deterministic(self):
         a = stripped(verify_implications(3, random_trials=50, seed=9))
         b = stripped(verify_implications(3, random_trials=50, seed=9))
@@ -204,6 +210,10 @@ class TestBoxClaim:
     def test_deterministic(self):
         assert stripped(verify_box_props(25, seed=3)) == stripped(verify_box_props(25, seed=3))
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParamsError, match="seed"):
+            verify_box_props(2, seed=-1)
+
     def test_no_random_trials(self):
         # An empty trial range makes no shards; only the extremal specs run.
         assert verify_box_props(0, workers=2).checked == 5 * 4 * 6
@@ -230,6 +240,24 @@ class TestWorkers:
         for workers in (2, 3, 5):
             assert stripped(run(workers)) == base
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda w: verify_turan_bound(3, workers=w),
+            lambda w: verify_theorem_bound(3, "reduced", workers=w),
+            lambda w: verify_implications(3, random_trials=5, workers=w),
+            lambda w: verify_equivalence_transitive(3, workers=w),
+            lambda w: verify_closure(3, workers=w),
+            lambda w: find_separations(3, workers=w),
+            lambda w: verify_box_props(5, workers=w),
+        ],
+        ids=["turan", "theorem", "implications", "equiv", "closure", "separations", "boxes"],
+    )
+    def test_fewer_than_one_worker(self, run, workers):
+        with pytest.raises(InvalidParamsError, match="workers"):
+            run(workers)
+
 
 class TestVerifyClaim:
     def test_unknown(self):
@@ -255,6 +283,17 @@ class TestVerifyClaim:
         assert report.ok and report.params["max_n"] == 8
         with pytest.raises(LimitExceededError):
             verify_claim("clique", max_n=9)
+
+    def test_reach_claims_ceiling(self):
+        # The kernel claims run through n = 8 without --limit; separations
+        # stops at n = 5, once both witnesses are found.
+        (report,) = verify_claim("separations", max_n=8)
+        assert report.ok and report.params["max_n"] == 8
+        for claim in ("equiv-transitive", "closure", "separations"):
+            with pytest.raises(LimitExceededError):
+                verify_claim(claim, max_n=9)
+        with pytest.raises(LimitExceededError):
+            verify_claim("implications", max_n=7)
 
     def test_limit_propagates(self):
         with pytest.raises(LimitExceededError):
@@ -293,6 +332,27 @@ def overflow_detail(report: VerificationReport) -> str:
     return report.violations[-1]["detail"]
 
 
+def negated(real):
+    return lambda *args: not real(*args)
+
+
+def always_false(real):
+    return lambda *args: False
+
+
+def verdict(field, change):
+    """Wrap the reach kernel so that its ``field`` verdict array becomes ``change(array)``."""
+
+    def wrap(real):
+        def kernel(*args):
+            v = real(*args)
+            return v._replace(**{field: change(getattr(v, field))})
+
+        return kernel
+
+    return wrap
+
+
 class TestViolationOverflow:
     """Violations past the listed sample are counted, never dropped."""
 
@@ -324,35 +384,31 @@ class TestViolationOverflow:
         "target, wrong, run, total",
         [
             # Oracle negated: every one of the 75 graphs disagrees once.
-            ("is_reduced_bruteforce", "negated", lambda: verify_implications(4, random_trials=0), 75),
+            ("is_reduced_bruteforce", negated, lambda: verify_implications(4, random_trials=0), 75),
             # One exhaustive graph plus 50 random trials, each one disagreement.
-            ("is_reduced_bruteforce", "negated", lambda: verify_implications(1, random_trials=50), 51),
-            # Extremely reducedness negated: all 407 transitive graphs disagree.
-            ("is_extremely_reduced", "negated", lambda: verify_equivalence_transitive(5), 407),
+            ("is_reduced_bruteforce", negated, lambda: verify_implications(1, random_trials=50), 51),
+            # Extremely-reduced verdicts negated: all 407 transitive graphs disagree.
+            ("_reach_verdicts", verdict("extremely", np.logical_not), lambda: verify_equivalence_transitive(5), 407),
             # No closure is transitive: every graph on n <= 4 fails once.
-            ("is_transitive", "false", lambda: verify_closure(4), 75),
+            ("_reach_verdicts", verdict("transitive", np.zeros_like), lambda: verify_closure(4), 75),
             # Every transverse family's graph now fails the transitivity check.
-            ("is_transitive", "false", lambda: verify_box_props(25, seed=3), 25),
+            ("is_transitive", always_false, lambda: verify_box_props(25, seed=3), 25),
         ],
         ids=["implications", "random-agreement", "equiv", "closure", "boxes"],
     )
     def test_predicate_scans(self, monkeypatch, target, wrong, run, total):
-        real = getattr(harness, target)
-        if wrong == "negated":
-            monkeypatch.setattr(harness, target, lambda *args: not real(*args))
-        else:
-            monkeypatch.setattr(harness, target, lambda *args: False)
+        monkeypatch.setattr(harness, target, wrong(getattr(harness, target)))
         report = run()
         assert len(report.violations) == 21
         assert overflow_detail(report) == f"{total - 20} further violations not listed"
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_closure_one_violation_per_reduced_input(self, monkeypatch, workers):
-        # Closures are checked once per distinct closure; every reduced
-        # input still gets its own entry.
+        # With every closure's extremely-reduced verdict negated, each
+        # reduced input gets its own entry.
         reduced = sum(is_reduced(dag_from_index(n, mask)) for n in range(1, 5) for mask in range(dag_count(n)))
-        real = harness.is_extremely_reduced
-        monkeypatch.setattr(harness, "is_extremely_reduced", lambda *args: not real(*args))
+        kernel = verdict("extremely", np.logical_not)(harness._reach_verdicts)
+        monkeypatch.setattr(harness, "_reach_verdicts", kernel)
         report = verify_closure(4, workers=workers)
         assert report.params["reduced_inputs"] == reduced
         assert overflow_detail(report) == f"{reduced - 20} further violations not listed"
