@@ -18,7 +18,10 @@ import numpy as np
 from .errors import InvalidParamsError, LimitExceededError
 from .graph import Dag, Edge, bits
 
-MAX_ENUM_VERTICES = 7
+# The enumeration ceiling for every exhaustive sweep: n = 8 has 2^28
+# graphs, which the whole-block kernels sweep in 10 to 75 s per claim on
+# one core of a 2-core x86 box; n = 9 has 2^36, 256 times as many.
+MAX_ENUM_VERTICES = 8
 
 _PAIR_CACHE: dict[int, tuple[Edge, ...]] = {}
 

@@ -5,9 +5,10 @@ claims by scanning the full forward-labeled enumeration (every subset of
 {(i, j) : i < j}), existence claims by searching that enumeration for
 witnesses, and the box claims over seeded random families. Fast
 predicates are cross-checked bit-for-bit against the literal brute-force
-oracles. The equiv-transitive, closure and separations sweeps read their
-verdicts off the whole-block reach kernel of :mod:`dagx.kernels`, whose
-tests check it against the scalar predicates on every DAG with n <= 6.
+oracles. The theorem, equiv-transitive, closure and separations sweeps
+read their class verdicts off the whole-block reach kernel of
+:mod:`dagx.kernels`, whose tests check it against the scalar predicates
+on every DAG with n <= 6.
 
 Scans partition the enumeration index range across a worker pool; shards
 share nothing and merge associatively, so reports are identical for any
@@ -43,6 +44,7 @@ from .boxes import (
 )
 from .errors import InvalidParamsError, LimitExceededError, UnknownClaimError
 from .generators import (
+    MAX_ENUM_VERTICES,
     ExtremalSpec,
     _dag_at,
     dag_count,
@@ -73,16 +75,9 @@ from .kernels import _LEVEL_BLOCK, _REACH_BLOCK, _blocks, _edge_rows, _levels_ch
 
 DEFAULT_SEED = 271828
 
-# Scan ceilings. Levels and edge counts come from the whole-block levels
-# kernel: the turan sweep, which needs nothing else, runs through n = 8
-# (2^28 graphs, about half a minute on one core); the class-bound sweep,
-# which also builds and tests gated graphs, stops at n = 7. The
-# equiv-transitive, closure and separations sweeps read every verdict off
-# the whole-block reach kernel and run through n = 8. The implication
-# sweep runs the brute-force oracles on a Dag per mask and stops at n = 6.
-MAX_TURAN_VERTICES = 8
-MAX_SCAN_VERTICES = 7
-MAX_REACH_VERTICES = 8
+# Scan ceilings: the enumeration sweeps stop at MAX_ENUM_VERTICES; the
+# implication sweep runs the brute-force oracles on a Dag per mask and
+# stops at n = 6.
 MAX_PREDICATE_VERTICES = 6
 # The clique-free maximum is proved by a hitting-set search, not an
 # enumeration; n = 8 takes about 0.6 s on one core of a 2-core x86 box.
@@ -137,6 +132,11 @@ def _require_range(claim: str, max_n: int, limit: int) -> None:
         )
 
 
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise InvalidParamsError(f"need workers >= 1, got {workers}")
+
+
 def _shard_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     k = max(1, min(workers, total))
     step = max(1, -(-total // k))
@@ -145,6 +145,14 @@ def _shard_ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 def _graph_entry(g: Dag | None, detail: str) -> dict:
     return {"graph": None if g is None else format_edge_list(g), "detail": detail}
+
+
+def _mask_entries(n: int, start: int, hits: np.ndarray, details: Callable[[int], list[str]]) -> Iterator[dict]:
+    """One entry per detail of each mask start + j, j in ``hits``; each graph is built once, when listed."""
+    for j in hits.tolist():
+        g = _dag_at(n, start + j)
+        for detail in details(j):
+            yield _graph_entry(g, detail)
 
 
 def _box_entry(family: BoxFamily, detail: str) -> dict:
@@ -197,8 +205,7 @@ class _Sweep(ExitStack):
 
     def __init__(self, workers: int):
         super().__init__()
-        if workers < 1:
-            raise InvalidParamsError(f"need workers >= 1, got {workers}")
+        _require_workers(workers)
         self.workers = workers
         self.checked = 0
         self.sample = _Sample()
@@ -269,7 +276,7 @@ def _scan_turan(n: int, start: int, stop: int) -> dict:
 
 
 def verify_turan_bound(
-    max_n: int = 7, *, workers: int = 1, limit: int = MAX_TURAN_VERTICES
+    max_n: int = 7, *, workers: int = 1, limit: int = MAX_ENUM_VERTICES
 ) -> VerificationReport:
     """Every enumerated DAG satisfies edges <= t(n, ell + 1), with equality attained."""
     _require_range("turan", max_n, limit)
@@ -303,33 +310,27 @@ _CLASS_PREDICATES = {
 
 
 def _scan_class_bound(n: int, klass: str, start: int, stop: int) -> dict:
-    bound = [0] * n
-    for lv in range(1, n):
-        bound[lv] = reduced_dag_edge_bound(n, lv)
-    predicate = _CLASS_PREDICATES[klass]
-    max_edges = [-1] * n
+    bound = np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
+    max_edges = np.full(n, -1, dtype=np.int8)
     sample = _Sample()
     for a, b in _blocks(start, stop, _LEVEL_BLOCK):
         ell, edges = _levels_chunk(n, a, b)
         # Class membership only matters for graphs that could beat the
-        # running class maximum or the bound itself; everything below is
-        # covered by monotonicity. The maximum only grows inside a block,
-        # so its value at the block start gates a superset, which the
-        # scalar test below narrows in index order. Edgeless graphs
-        # (ell = 0) never pass the gate.
-        gate = np.array([127] + [min(max_edges[lv], bound[lv]) for lv in range(1, n)], dtype=np.int8)
-        for j in np.flatnonzero(edges > gate[ell]).tolist():
-            lv, e = int(ell[j]), int(edges[j])
-            if e <= max_edges[lv] and e <= bound[lv]:
-                continue
-            g = _dag_at(n, a + j)
-            if not predicate(g):
-                continue
-            if e > bound[lv]:
-                sample.add(_graph_entry(g, f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}"))
-            if e > max_edges[lv]:
-                max_edges[lv] = e
-    return {"checked": stop - start, "max_edges": max_edges, "sample": sample}
+        # class maximum or the bound itself. The maximum at the block start
+        # gates a superset of those; the reach kernel decides membership for
+        # the gated masks only. Edgeless graphs (ell = 0) never pass.
+        gate = np.minimum(max_edges, bound)
+        gate[0] = 127
+        gated = np.flatnonzero(edges > gate[ell])
+        if not gated.size:
+            continue
+        succ, pred = _edge_rows(n, a, b)
+        hits = gated[getattr(_reach_verdicts(succ[:, gated], pred[:, gated]), klass)]
+        np.maximum.at(max_edges, ell[hits], edges[hits])
+        over = hits[edges[hits] > bound[ell[hits]]]
+        details = lambda j: [f"class {klass!r}: {edges[j]} edges at ell={ell[j]}, above bound {bound[ell[j]]}"]
+        sample.extend(over.size, _mask_entries(n, a, over, details))
+    return {"checked": stop - start, "max_edges": max_edges.tolist(), "sample": sample}
 
 
 def verify_theorem_bound(
@@ -337,7 +338,7 @@ def verify_theorem_bound(
     klass: str = "extremely",
     *,
     workers: int = 1,
-    limit: int = MAX_SCAN_VERTICES,
+    limit: int = MAX_ENUM_VERTICES,
 ) -> VerificationReport:
     """Class members satisfy the closed-form bound; generated instances attain it.
 
@@ -476,14 +477,6 @@ def verify_implications(
 # On transitive DAGs the three predicates coincide.
 
 
-def _mask_entries(n: int, start: int, hits: np.ndarray, details: Callable[[int], list[str]]) -> Iterator[dict]:
-    """One entry per detail of each mask start + j, j in ``hits``; each graph is built once, when listed."""
-    for j in hits.tolist():
-        g = _dag_at(n, start + j)
-        for detail in details(j):
-            yield _graph_entry(g, detail)
-
-
 def _scan_equiv(n: int, start: int, stop: int) -> dict:
     sample = _Sample()
     transitive_count = 0
@@ -503,7 +496,7 @@ def verify_equivalence_transitive(
     max_n: int = 6,
     *,
     workers: int = 1,
-    limit: int = MAX_REACH_VERTICES,
+    limit: int = MAX_ENUM_VERTICES,
 ) -> VerificationReport:
     """On every enumerated transitive DAG the three predicates agree."""
     _require_range("equiv-transitive", max_n, limit)
@@ -555,7 +548,7 @@ def verify_closure(
     max_n: int = 6,
     *,
     workers: int = 1,
-    limit: int = MAX_REACH_VERTICES,
+    limit: int = MAX_ENUM_VERTICES,
 ) -> VerificationReport:
     """Closure is transitive, monotone, idempotent, and lifts reducedness to all classes."""
     _require_range("closure", max_n, limit)
@@ -590,7 +583,7 @@ def find_separations(
     max_n: int = 6,
     *,
     workers: int = 1,
-    limit: int = MAX_REACH_VERTICES,
+    limit: int = MAX_ENUM_VERTICES,
 ) -> VerificationReport:
     """Search the enumeration for class-separating witnesses.
 
@@ -795,10 +788,10 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
 # claim -> (default max_n, ceiling, runner); a runner maps the resolved
 # options to the claim's reports. boxes has no enumeration range.
 _CLAIM_TABLE: dict[str, tuple[int | None, int | None, Callable[[SimpleNamespace], list[VerificationReport]]]] = {
-    "turan": (7, MAX_TURAN_VERTICES, lambda o: [verify_turan_bound(o.n, workers=o.workers, limit=o.limit)]),
+    "turan": (7, MAX_ENUM_VERTICES, lambda o: [verify_turan_bound(o.n, workers=o.workers, limit=o.limit)]),
     "theorem": (
         6,
-        MAX_SCAN_VERTICES,
+        MAX_ENUM_VERTICES,
         lambda o: [verify_theorem_bound(o.n, k, workers=o.workers, limit=o.limit) for k in _CLASS_PREDICATES],
     ),
     "implications": (
@@ -810,11 +803,11 @@ _CLAIM_TABLE: dict[str, tuple[int | None, int | None, Callable[[SimpleNamespace]
     ),
     "equiv-transitive": (
         6,
-        MAX_REACH_VERTICES,
+        MAX_ENUM_VERTICES,
         lambda o: [verify_equivalence_transitive(o.n, workers=o.workers, limit=o.limit)],
     ),
-    "closure": (6, MAX_REACH_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
-    "separations": (6, MAX_REACH_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
+    "closure": (6, MAX_ENUM_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
+    "separations": (6, MAX_ENUM_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
     "boxes": (None, None, lambda o: [verify_box_props(o.trials, o.seed, workers=o.workers)]),
     "clique": (8, MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(o.n, limit=o.limit)]),
 }
@@ -841,6 +834,7 @@ def verify_claim(
     """
     if claim not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
+    _require_workers(workers)
     reports: list[VerificationReport] = []
     for name in _CLAIM_TABLE if claim == "all" else (claim,):
         default, ceiling, runner = _CLAIM_TABLE[name]

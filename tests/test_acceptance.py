@@ -212,3 +212,18 @@ def test_criterion_12_reach_kernel_claims_exhaustive_n7():
         f"predicates coincide on {equiv.params['transitive_graphs']} transitive DAGs, closure lifts and is"
         f" idempotent on {total} DAGs, separations found, n <= 7, in {elapsed:.1f}s",
     )
+
+
+def test_criterion_13_theorem_bound_exhaustive_n8():
+    t0 = time.perf_counter()
+    reports = [verify_theorem_bound(8, klass, workers=1, limit=8) for klass in ("extremely", "strongly", "reduced")]
+    elapsed = time.perf_counter() - t0
+    for report in reports:
+        assert report.violations == []
+        assert report.checked == 270_566_475
+        rows = [row for row in report.params["tightness"] if row["n"] == 8]
+        assert len(rows) == 7
+        for row in rows:
+            assert row["class_max"] == row["bound"] == row["generator_edges"], row
+    assert elapsed < 120, f"single-threaded n=8 class-bound sweeps took {elapsed:.0f}s"
+    passed(13, f"class edge bound holds and is attained for all three classes, n <= 8, in {elapsed:.1f}s")

@@ -249,6 +249,12 @@ class TestVerify:
         assert code == 2
         assert out == "" and "workers" in err
 
+    @pytest.mark.parametrize("claim", ["clique", "boxes"])
+    def test_unsharded_claims_refuse_zero_workers(self, capsys, claim):
+        code, out, err = run(capsys, "verify", claim, "--workers", "0", "--max-n", "3", "--trials", "2")
+        assert code == 2
+        assert out == "" and "workers" in err
+
     def test_negative_box_trials_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "boxes", "--trials", "-5")
         assert code == 2

@@ -152,8 +152,8 @@ class TestEnumerateDags:
 
     def test_limit(self):
         with pytest.raises(LimitExceededError):
-            next(enumerate_dags(8))
-        next(enumerate_dags(8, max_vertices=8))
+            next(enumerate_dags(9))
+        next(enumerate_dags(9, max_vertices=9))
 
     def test_partitioning(self):
         full = [g.edges for g in enumerate_dags(4)]

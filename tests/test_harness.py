@@ -24,7 +24,7 @@ from dagx import (
 )
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import longest_path_length
-from dagx.predicates import is_extremely_reduced, is_reduced
+from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
 from dagx.harness import CHORDED_CHAIN_EDGES
 from dagx.kernels import _LEVEL_BLOCK, _levels_chunk
 
@@ -100,7 +100,7 @@ class TestTuranClaim:
 
     def test_theorem_ceiling_unchanged(self):
         with pytest.raises(LimitExceededError):
-            verify_theorem_bound(8)
+            verify_theorem_bound(9)
 
 
 class TestTheoremClaim:
@@ -123,6 +123,56 @@ class TestTheoremClaim:
     def test_bad_class(self):
         with pytest.raises(Exception):
             verify_theorem_bound(4, "weirdly")
+
+
+THEOREM_CLASSES = {"extremely": is_extremely_reduced, "strongly": is_strongly_reduced, "reduced": is_reduced}
+
+
+@pytest.fixture(scope="module")
+def class_members():
+    """klass -> [(n, ell, edges)] of every class member with n <= 6, from the scalar predicates."""
+    members = {klass: [] for klass in THEOREM_CLASSES}
+    for n in range(1, 7):
+        for mask in range(dag_count(n)):
+            g = dag_from_index(n, mask)
+            ell, edges = longest_path_length(g), len(g.edges)
+            for klass, predicate in THEOREM_CLASSES.items():
+                if predicate(g):
+                    members[klass].append((n, ell, edges))
+    return members
+
+
+class TestTheoremAgainstDefinition:
+    """The kernel-gated class scan against the scalar predicate run on every graph, n <= 6.
+
+    Three workers cut n = 6 into shards that start inside a levels block.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
+    def test_class_max(self, class_members, klass, workers):
+        expected = {}
+        for n, ell, edges in class_members[klass]:
+            if ell >= 1:
+                expected[n, ell] = max(expected.get((n, ell), -1), edges)
+        report = verify_theorem_bound(6, klass, workers=workers)
+        assert {(row["n"], row["ell"]): row["class_max"] for row in report.params["tightness"]} == expected
+
+    # Lowered by one, only graphs at the bound violate; at zero, every
+    # member with an edge does, so the count tells the classes apart.
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
+    @pytest.mark.parametrize("lower", [lambda bound: bound - 1, lambda bound: 0], ids=["by-one", "to-zero"])
+    def test_violations_with_the_bound_lowered(self, monkeypatch, class_members, klass, workers, lower):
+        real = harness.reduced_dag_edge_bound
+        lowered = lambda n, ell: lower(real(n, ell))
+        monkeypatch.setattr(harness, "reduced_dag_edge_bound", lowered)
+        expected = sum(ell >= 1 and edges > lowered(n, ell) for n, ell, edges in class_members[klass])
+        report = verify_theorem_bound(6, klass, workers=workers)
+        listed = sum(v["detail"].startswith(f"class {klass!r}") for v in report.violations)
+        last = overflow_detail(report)
+        further = int(last.split()[0]) if last.endswith("further violations not listed") else 0
+        assert expected > 0 and listed + further == expected
 
 
 class TestImplicationsClaim:
@@ -251,8 +301,9 @@ class TestWorkers:
             lambda w: verify_closure(3, workers=w),
             lambda w: find_separations(3, workers=w),
             lambda w: verify_box_props(5, workers=w),
+            lambda w: verify_claim("clique", max_n=3, workers=w),
         ],
-        ids=["turan", "theorem", "implications", "equiv", "closure", "separations", "boxes"],
+        ids=["turan", "theorem", "implications", "equiv", "closure", "separations", "boxes", "clique"],
     )
     def test_fewer_than_one_worker(self, run, workers):
         with pytest.raises(InvalidParamsError, match="workers"):
