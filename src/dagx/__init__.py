@@ -10,7 +10,6 @@ from .bounds import (
     interval_turan,
     reduced_dag_edge_bound,
     turan_graph_edges,
-    turan_number,
 )
 from .boxes import (
     Box,

@@ -18,17 +18,12 @@ def balanced_parts(n: int, k: int) -> list[int]:
 
 
 def turan_graph_edges(n: int, k: int) -> int:
-    """Edge count t(n, k) of the complete k-partite graph on balanced parts."""
-    return comb(n, 2) - sum(comb(p, 2) for p in balanced_parts(n, k))
+    """Edge count t(n, k) of the complete k-partite graph on balanced parts.
 
-
-def turan_number(n: int, k: int) -> int:
-    """Maximum edges of an n-vertex graph with no clique of size k + 1.
-
-    Attained by the balanced complete k-partite graph, so this equals
-    :func:`turan_graph_edges`.
+    By Turán's theorem this is also the most edges an n-vertex graph can
+    carry without a clique of size k + 1.
     """
-    return turan_graph_edges(n, k)
+    return comb(n, 2) - sum(comb(p, 2) for p in balanced_parts(n, k))
 
 
 def interval_turan(n: int, k: int) -> int:

@@ -201,28 +201,24 @@ def random_box_family(count: int, seed) -> BoxFamily:
     return BoxFamily(tuple(entries))
 
 
-def random_transverse_family(
-    seed,
-    max_per_layer: int = 4,
-    keep_probability: float = 0.8,
-    retries: int = 16,
-) -> BoxFamily:
+def random_transverse_family(seed) -> BoxFamily:
     """Random family with pairwise disjoint-or-transverse boxes.
 
-    Draws a jittered layered structure (columns / frames / slats as in
-    :func:`extremal_box_family`), keeps a random subfamily, and validates;
-    jitter is large enough that validation occasionally fails, in which
-    case the draw is rejected and retried.
+    Draws a jittered layered structure (0 to 4 each of the columns /
+    frames / slats of :func:`extremal_box_family`), keeps each box with
+    probability 0.8, and validates; jitter is large enough that
+    validation occasionally fails, in which case the draw is rejected
+    and retried, up to 16 draws.
     """
     rng = _rng(seed)
 
     def jitter(lo: int, hi: int, den: int = 16) -> Fraction:
         return Fraction(int(rng.integers(lo, hi + 1)), den)
 
-    for _ in range(retries):
-        r = int(rng.integers(0, max_per_layer + 1))
-        lm = int(rng.integers(0, max_per_layer + 1))
-        s = int(rng.integers(0, max_per_layer + 1))
+    for _ in range(16):
+        r = int(rng.integers(0, 5))
+        lm = int(rng.integers(0, 5))
+        s = int(rng.integers(0, 5))
         if r + lm + s == 0:
             continue
         entries: list[tuple[str, Box]] = []
@@ -259,14 +255,14 @@ def random_transverse_family(
             hi = Fraction(k, 10) + Fraction(1, 20) + jitter(-3, 3, 320)
             entries.append((f"z{k}", box(-40 + jitter(-9, 9), 40 + jitter(-9, 9), lo, hi)))
 
-        kept = [e for e in entries if rng.random() < keep_probability]
+        kept = [e for e in entries if rng.random() < 0.8]
         if not kept:
             kept = entries
         family = BoxFamily(tuple(kept))
         ok, _ = is_transverse_family(family)
         if ok:
             return family
-    raise DagxError(f"no transverse family obtained after {retries} draws")
+    raise DagxError("no transverse family obtained after 16 draws")
 
 
 CSV_HEADER = ("id", "ix_lo", "ix_hi", "jy_lo", "jy_hi")

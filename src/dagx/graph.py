@@ -63,8 +63,6 @@ class Dag:
         except TypeError:
             raise VertexRangeError("edge endpoints must be integers") from None
         seen: set[Edge] = set()
-        succ = [0] * n
-        pred = [0] * n
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
@@ -73,31 +71,29 @@ class Dag:
             if (u, v) in seen:
                 raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
-        self.n = n
-        self.edges = frozenset(seen)
-        self.succ_masks = tuple(succ)
-        self.pred_masks = tuple(pred)
-        self._cache: dict[str, object] = {}
+        self._set_edges(n, frozenset(seen))
         if not all(u < v for u, v in seen):
-            _check_acyclic(n, succ, pred)
+            _check_acyclic(n, self.succ_masks, self.pred_masks)
 
     @classmethod
     def _unchecked(cls, n: int, edges: frozenset[Edge]) -> "Dag":
         """Build without validation; caller guarantees a valid acyclic edge set."""
         g = object.__new__(cls)
+        g._set_edges(n, edges)
+        return g
+
+    def _set_edges(self, n: int, edges: frozenset[Edge]) -> None:
+        """Store ``edges`` with their successor and predecessor rows, and an empty cache."""
         succ = [0] * n
         pred = [0] * n
         for u, v in edges:
             succ[u] |= 1 << v
             pred[v] |= 1 << u
-        g.n = n
-        g.edges = edges
-        g.succ_masks = tuple(succ)
-        g.pred_masks = tuple(pred)
-        g._cache = {}
-        return g
+        self.n = n
+        self.edges = edges
+        self.succ_masks = tuple(succ)
+        self.pred_masks = tuple(pred)
+        self._cache: dict[str, object] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
@@ -119,28 +115,33 @@ class Dag:
         return flag
 
 
-def _check_acyclic(n: int, succ: list[int], pred: list[int]) -> None:
+def _kahn(n: int, succ: tuple[int, ...], pred: tuple[int, ...]) -> list[int]:
+    """Kahn's walk: vertices in removal order, smallest source first.
+
+    A vertex on a cycle, or reached from one, is never a source and is
+    left out.
+    """
     indeg = [pred[v].bit_count() for v in range(n)]
     ready = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(ready)
-    removed = 0
+    out = []
     while ready:
         v = heapq.heappop(ready)
-        removed += 1
+        out.append(v)
         for w in bits(succ[v]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    if removed == n:
-        return
-    remaining = 0
-    for v in range(n):
-        if indeg[v] > 0:
-            remaining |= 1 << v
-    raise CycleError(_witness_cycle(pred, remaining))
+    return out
 
 
-def _witness_cycle(pred: list[int], remaining: int) -> list[int]:
+def _check_acyclic(n: int, succ: tuple[int, ...], pred: tuple[int, ...]) -> None:
+    order = _kahn(n, succ, pred)
+    if len(order) < n:
+        raise CycleError(_witness_cycle(pred, (1 << n) - 1 - sum(1 << v for v in order)))
+
+
+def _witness_cycle(pred: tuple[int, ...], remaining: int) -> list[int]:
     # Every vertex of `remaining` keeps a predecessor inside `remaining`,
     # so walking predecessors must revisit a vertex.
     v = (remaining & -remaining).bit_length() - 1
@@ -160,21 +161,7 @@ def topological_order(g: Dag) -> TopoOrder:
     """Deterministic topological order: repeatedly remove the smallest source."""
     order = g._cache.get("topo")
     if order is None:
-        if g.is_forward():
-            order = tuple(range(g.n))
-        else:
-            indeg = [g.pred_masks[v].bit_count() for v in range(g.n)]
-            ready = [v for v in range(g.n) if indeg[v] == 0]
-            heapq.heapify(ready)
-            out = []
-            while ready:
-                v = heapq.heappop(ready)
-                out.append(v)
-                for w in bits(g.succ_masks[v]):
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        heapq.heappush(ready, w)
-            order = tuple(out)
+        order = tuple(range(g.n)) if g.is_forward() else tuple(_kahn(g.n, g.succ_masks, g.pred_masks))
         g._cache["topo"] = order
     return order
 
@@ -252,17 +239,22 @@ def level_partition(g: Dag) -> LevelPartition:
     return LevelPartition(tuple(frozenset(p) for p in parts), ell)
 
 
+def _fill_rows(n: int, order: Iterable[int], adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Row v = ``adj[v]`` joined with the rows of its members; ``order`` visits each member before v."""
+    rows = [0] * n
+    for v in order:
+        r = adj[v]
+        for u in bits(adj[v]):
+            r |= rows[u]
+        rows[v] = r
+    return tuple(rows)
+
+
 def reach_from_masks(g: Dag) -> tuple[int, ...]:
     """Row v = bitmask of vertices reachable from v by a path of length >= 1."""
     rf = g._cache.get("reach_from")
     if rf is None:
-        arr = [0] * g.n
-        for v in reversed(topological_order(g)):
-            r = g.succ_masks[v]
-            for u in bits(g.succ_masks[v]):
-                r |= arr[u]
-            arr[v] = r
-        rf = tuple(arr)
+        rf = _fill_rows(g.n, reversed(topological_order(g)), g.succ_masks)
         g._cache["reach_from"] = rf
     return rf
 
@@ -271,13 +263,7 @@ def reach_to_masks(g: Dag) -> tuple[int, ...]:
     """Row v = bitmask of vertices that reach v by a path of length >= 1."""
     rt = g._cache.get("reach_to")
     if rt is None:
-        arr = [0] * g.n
-        for v in topological_order(g):
-            r = g.pred_masks[v]
-            for u in bits(g.pred_masks[v]):
-                r |= arr[u]
-            arr[v] = r
-        rt = tuple(arr)
+        rt = _fill_rows(g.n, topological_order(g), g.pred_masks)
         g._cache["reach_to"] = rt
     return rt
 
@@ -342,10 +328,6 @@ def parse_edge_list(text: str) -> Dag:
     return Dag(n, pairs)
 
 
-def format_edge_list(g: Dag, comment: str | None = None) -> str:
+def format_edge_list(g: Dag) -> str:
     """Serialize ``g`` in the edge-list text format (edges sorted)."""
-    lines = [f"n {g.n}"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"n {g.n}", *(f"{u} {v}" for u, v in sorted(g.edges))]) + "\n"

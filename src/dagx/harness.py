@@ -18,12 +18,11 @@ held everywhere in the stated range.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice, product
 from math import comb
 from types import SimpleNamespace
@@ -71,7 +70,7 @@ from .predicates import (
     is_strongly_reduced_bruteforce,
     is_transitive,
 )
-from .kernels import _LEVEL_BLOCK, _REACH_BLOCK, _blocks, _edge_rows, _levels_chunk, _reach_verdicts
+from .kernels import _blocks, _edge_rows, _levels_chunk, _reach_verdicts
 
 DEFAULT_SEED = 271828
 
@@ -79,6 +78,8 @@ DEFAULT_SEED = 271828
 # implication sweep runs the brute-force oracles on a Dag per mask and
 # stops at n = 6.
 MAX_PREDICATE_VERTICES = 6
+# The random half of the implication sweep draws DAGs on 2..8 vertices.
+_RANDOM_MAX_N = 8
 # The clique-free maximum is proved by a hitting-set search, not an
 # enumeration; n = 8 takes about 0.6 s on one core of a 2-core x86 box.
 MAX_CLIQUE_VERTICES = 8
@@ -109,18 +110,7 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "range": self.range,
-            "checked": self.checked,
-            "violations": self.violations,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-            "params": self.params,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return asdict(self)
 
 
 def _require_range(claim: str, max_n: int, limit: int) -> None:
@@ -254,20 +244,18 @@ def _max_edges(parts: list[dict]) -> list[int]:
 # Turan bound: edges <= t(n, ell + 1) over the full enumeration.
 
 
-def _turan_violation(n: int, mask: int, lv: int, e: int) -> dict:
-    bound = turan_graph_edges(n, lv + 1)
-    return _graph_entry(_dag_at(n, mask), f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound}")
-
-
 def _scan_turan(n: int, start: int, stop: int) -> dict:
     bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
     seen = np.zeros((n, comb(n, 2) + 1), dtype=bool)
     sample = _Sample()
-    for a, b in _blocks(start, stop, _LEVEL_BLOCK):
+    for a, b in _blocks(start, stop):
         ell, edges = _levels_chunk(n, a, b)
         seen[ell, edges] = True
         over = np.flatnonzero(edges > bound[ell])
-        sample.extend(over.size, (_turan_violation(n, a + j, int(ell[j]), int(edges[j])) for j in over.tolist()))
+        details = lambda j: [
+            f"{edges[j]} edges with longest path {ell[j]}, above t({n},{ell[j] + 1}) = {bound[ell[j]]}"
+        ]
+        sample.extend(over.size, _mask_entries(n, a, over, details))
     return {
         "checked": stop - start,
         "max_edges": [int(row.nonzero()[0][-1]) if row.any() else -1 for row in seen],
@@ -313,7 +301,7 @@ def _scan_class_bound(n: int, klass: str, start: int, stop: int) -> dict:
     bound = np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
     max_edges = np.full(n, -1, dtype=np.int8)
     sample = _Sample()
-    for a, b in _blocks(start, stop, _LEVEL_BLOCK):
+    for a, b in _blocks(start, stop):
         ell, edges = _levels_chunk(n, a, b)
         # Class membership only matters for graphs that could beat the
         # class maximum or the bound itself. The maximum at the block start
@@ -424,11 +412,11 @@ def _scan_implications(n: int, start: int, stop: int) -> dict:
     return {"checked": stop - start, "sample": sample}
 
 
-def _scan_random_agreement(max_n: int, seed: int, t_start: int, t_stop: int) -> dict:
+def _scan_random_agreement(seed: int, t_start: int, t_stop: int) -> dict:
     sample = _Sample()
     for t in range(t_start, t_stop):
         rng = np.random.default_rng((seed, t))
-        n = int(rng.integers(2, max_n + 1))
+        n = int(rng.integers(2, _RANDOM_MAX_N + 1))
         p = 0.05 + 0.9 * float(rng.random())
         g = random_dag(n, p, rng)
         problems = _predicate_problems(g)
@@ -441,7 +429,6 @@ def verify_implications(
     max_n: int = 5,
     *,
     random_trials: int = 1000,
-    random_max_n: int = 8,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     limit: int = MAX_PREDICATE_VERTICES,
@@ -450,22 +437,20 @@ def verify_implications(
     _require_range("implications", max_n, limit)
     if random_trials < 0:
         raise InvalidParamsError(f"implications: need random_trials >= 0, got {random_trials}")
-    if random_trials and random_max_n < 2:
-        raise InvalidParamsError(f"implications: need random_max_n >= 2, got {random_max_n}")
     if seed < 0:
         raise InvalidParamsError(f"implications: need seed >= 0, got {seed}")
     with _Sweep(workers) as sweep:
         for _ in sweep.over_n(_scan_implications, max_n):
             pass
         if random_trials:
-            sweep.run(_scan_random_agreement, random_trials, random_max_n, seed)
+            sweep.run(_scan_random_agreement, random_trials, seed)
     return sweep.report(
         "implications",
-        f"all forward-labeled DAGs n <= {max_n}, plus {random_trials} random DAGs n <= {random_max_n}",
+        f"all forward-labeled DAGs n <= {max_n}, plus {random_trials} random DAGs n <= {_RANDOM_MAX_N}",
         {
             "max_n": max_n,
             "random_trials": random_trials,
-            "random_max_n": random_max_n,
+            "random_max_n": _RANDOM_MAX_N,
             "seed": seed,
             "path_cap": DEFAULT_PATH_CAP,
             "order_cap": DEFAULT_ORDER_CAP,
@@ -480,7 +465,7 @@ def verify_implications(
 def _scan_equiv(n: int, start: int, stop: int) -> dict:
     sample = _Sample()
     transitive_count = 0
-    for a, b in _blocks(start, stop, _REACH_BLOCK):
+    for a, b in _blocks(start, stop):
         v = _reach_verdicts(*_edge_rows(n, a, b))
         transitive_count += int(np.count_nonzero(v.transitive))
         hits = np.flatnonzero(v.transitive & ((v.extremely != v.strongly) | (v.strongly != v.reduced)))
@@ -525,7 +510,7 @@ def _scan_closure(n: int, start: int, stop: int) -> dict:
     # reach rows come from running the kernel on those.
     sample = _Sample()
     reduced_count = 0
-    for a, b in _blocks(start, stop, _REACH_BLOCK):
+    for a, b in _blocks(start, stop):
         succ, pred = _edge_rows(n, a, b)
         g = _reach_verdicts(succ, pred)
         c = _reach_verdicts(g.rf, g.rt)
@@ -569,7 +554,7 @@ def _scan_separations(n: int, start: int, stop: int) -> dict:
     # First index of each kind in this shard: reduced but not strongly
     # reduced, and strongly but not extremely reduced.
     first: list[int | None] = [None, None]
-    for a, b in _blocks(start, stop, _REACH_BLOCK):
+    for a, b in _blocks(start, stop):
         v = _reach_verdicts(*_edge_rows(n, a, b))
         for kind, hits in enumerate((v.reduced & ~v.strongly, v.strongly & ~v.extremely)):
             if first[kind] is None and hits.any():
@@ -846,7 +831,6 @@ def verify_claim(
                 n = min(n, cap)
             if claim == "all":
                 n = min(n, lim)
-            _require_range(name, n, lim)
         options = SimpleNamespace(
             n=n, limit=lim, workers=workers, seed=seed, trials=trials, random_trials=random_trials
         )

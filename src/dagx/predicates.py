@@ -34,6 +34,7 @@ from .graph import (
     bits,
     reach_from_masks,
     reach_to_masks,
+    topological_order,
 )
 
 PathSeq = tuple[int, ...]
@@ -42,11 +43,14 @@ DEFAULT_PATH_CAP = 100_000
 
 
 def path_vertex_masks(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> list[int]:
-    """Vertex sets of all v->w paths, as bitmasks.
+    """Vertex sets of all v->w paths, as bitmasks, in the lexicographic order of the paths.
 
     Distinct paths have distinct vertex sets (a path visits its vertex
     set in topological order), so this is a faithful path enumeration.
+    Raises :class:`~dagx.errors.CapExceededError` beyond ``cap`` paths.
     """
+    if not (0 <= v < g.n and 0 <= w < g.n):
+        raise VertexRangeError(f"vertices ({v}, {w}) outside 0..{g.n - 1}")
     target = 1 << w
     allowed = reach_to_masks(g)[w] | target
     succ = g.succ_masks
@@ -69,29 +73,12 @@ def enumerate_paths(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> list
     """All directed paths from v to w, lexicographically ordered.
 
     Returns the empty list when w is unreachable; raises
-    :class:`~dagx.errors.CapExceededError` beyond ``cap`` paths.
+    :class:`~dagx.errors.CapExceededError` beyond ``cap`` paths. Each
+    path is the vertex set from :func:`path_vertex_masks` listed in
+    topological order, the order in which the path visits it.
     """
-    if not (0 <= v < g.n and 0 <= w < g.n):
-        raise VertexRangeError(f"vertices ({v}, {w}) outside 0..{g.n - 1}")
-    target = 1 << w
-    allowed = reach_to_masks(g)[w] | target
-    succ = g.succ_masks
-    out: list[PathSeq] = []
-    prefix = [v]
-
-    def walk(u: int) -> None:
-        if u == w:
-            if len(out) >= cap:
-                raise CapExceededError(f"more than {cap} paths from {v} to {w}")
-            out.append(tuple(prefix))
-            return
-        for x in bits(succ[u] & allowed):
-            prefix.append(x)
-            walk(x)
-            prefix.pop()
-
-    walk(v)
-    return out
+    order = topological_order(g)
+    return [tuple(x for x in order if mask >> x & 1) for mask in path_vertex_masks(g, v, w, cap)]
 
 
 def is_sequence_path(g: Dag, seq: tuple[int, ...]) -> bool:

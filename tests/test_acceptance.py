@@ -72,8 +72,9 @@ def test_criterion_3_tightness_through_n7_with_split_note():
 
 
 def test_criterion_4_implications_and_oracle_agreement():
-    report = verify_implications(5, random_trials=1000, random_max_n=8, workers=1)
+    report = verify_implications(5, random_trials=1000, workers=1)
     assert report.violations == []
+    assert report.params["random_max_n"] == 8
     assert report.checked == sum(1 << comb(n, 2) for n in range(1, 6)) + 1000
     passed(4, "extremely => strongly => reduced and fast == brute force on n <= 5 plus 1000 random DAGs")
 

@@ -8,7 +8,6 @@ from dagx import (
     interval_turan,
     reduced_dag_edge_bound,
     turan_graph_edges,
-    turan_number,
 )
 
 
@@ -82,25 +81,18 @@ class TestReducedDagEdgeBound:
 
 
 class TestTuranNumber:
-    def test_alias(self):
-        assert all(
-            turan_number(n, k) == turan_graph_edges(n, k)
-            for n in range(1, 20)
-            for k in range(1, n + 1)
-        )
-
     def test_divisible_equality(self):
-        assert turan_number(6, 3) == 12
+        assert turan_graph_edges(6, 3) == 12
         assert Fraction(12) == (1 - Fraction(1, 3)) * Fraction(36, 2)
 
     def test_complete_graph_allowed(self):
-        assert all(turan_number(n, n) == comb(n, 2) for n in range(1, 15))
+        assert all(turan_graph_edges(n, n) == comb(n, 2) for n in range(1, 15))
 
     def test_asymptotic_inequality(self):
         # 2 k T(n, k) <= (k - 1) n^2, equality iff k divides n.
         for n in range(1, 61):
             for k in range(1, n + 1):
-                lhs = 2 * k * turan_number(n, k)
+                lhs = 2 * k * turan_graph_edges(n, k)
                 rhs = (k - 1) * n * n
                 assert lhs <= rhs
                 assert (lhs == rhs) == (n % k == 0)

@@ -86,6 +86,29 @@ class TestConstruction:
         assert hash(Dag(3, [(0, 1)])) == hash(Dag(3, [(0, 1)]))
 
 
+@st.composite
+def graphs_with_a_cycle(draw):
+    """(n, edges): a cycle through 2..n distinct vertices plus random further edges."""
+    n = draw(st.integers(2, 7))
+    loop = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    edges = set(zip(loop, loop[1:] + loop[:1]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges |= draw(st.sets(pairs, max_size=12))
+    return n, sorted(edges)
+
+
+class TestCycleWitness:
+    @given(graphs_with_a_cycle())
+    @settings(max_examples=150)
+    def test_witness_is_a_cycle_of_the_input(self, graph):
+        n, edges = graph
+        with pytest.raises(CycleError) as err:
+            Dag(n, edges)
+        cyc = err.value.cycle
+        assert len(cyc) >= 2 and len(set(cyc)) == len(cyc)
+        assert set(zip(cyc, cyc[1:] + cyc[:1])) <= set(edges)
+
+
 class TestTopologicalOrder:
     def test_chain(self):
         assert topological_order(chain(3)) == (0, 1, 2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dagx.harness as harness
+import dagx.kernels as kernels
 from dagx import (
     Dag,
     InvalidParamsError,
@@ -26,7 +27,7 @@ from dagx.generators import dag_count, dag_from_index
 from dagx.graph import longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
 from dagx.harness import CHORDED_CHAIN_EDGES
-from dagx.kernels import _LEVEL_BLOCK, _levels_chunk
+from dagx.kernels import _BLOCK, _blocks, _levels_chunk
 
 from conftest import CHORDED_CHAIN
 
@@ -44,7 +45,7 @@ def stripped(report: VerificationReport) -> dict:
 class TestReportShape:
     def test_json_schema_field_order(self):
         report = verify_turan_bound(3)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert list(data) == ["claim", "range", "checked", "violations", "witnesses", "elapsed_ms", "params"]
 
     def test_ok_iff_no_violations(self):
@@ -68,10 +69,11 @@ class TestLevelsKernel:
     @pytest.mark.parametrize(
         "n, start, stop",
         [
-            (6, _LEVEL_BLOCK - 37, _LEVEL_BLOCK + 91),  # straddles a block boundary
-            (6, 2 * _LEVEL_BLOCK + 5, 3 * _LEVEL_BLOCK + 5),  # one unaligned full block
+            (6, 8192 - 37, 8192 + 91),  # bit 13 flips inside the range
+            (6, 2 * 8192 + 5, 3 * 8192 + 5),  # unaligned
             (6, dag_count(6) - 300, dag_count(6)),  # the last masks, every bit set at the end
-            (7, 5 * _LEVEL_BLOCK + 17, 6 * _LEVEL_BLOCK + 200),
+            (7, 5 * 8192 + 17, 6 * 8192 + 200),
+            (7, _BLOCK - 37, _BLOCK + 91),  # straddles a block boundary
             (7, (1 << 20) - 150, (1 << 20) + 150),  # the top bit flips inside the range
             (7, dag_count(7) - 300, dag_count(7)),  # fixed high bits all set
             (7, 1_234_567, 1_234_568),  # a single mask, every bit fixed
@@ -79,6 +81,18 @@ class TestLevelsKernel:
     )
     def test_unaligned_ranges(self, n, start, stop):
         assert_levels_match_oracle(n, start, stop)
+
+    @pytest.mark.parametrize("block", [_BLOCK, 1000])
+    def test_blocks_straddle(self, monkeypatch, block):
+        # The sweeps cut a range into runs of _BLOCK masks from its start;
+        # the runs together give what one call over the range gives.
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        start, stop = block - 37, 2 * block + 91
+        runs = list(_blocks(start, stop))
+        assert runs == [(start, start + block), (start + block, stop)]
+        whole = _levels_chunk(7, start, stop)
+        for got, want in zip(zip(*(_levels_chunk(7, a, b) for a, b in runs)), whole):
+            assert np.array_equal(np.concatenate(got), want)
 
 
 class TestTuranClaim:
@@ -145,18 +159,23 @@ def class_members():
 class TestTheoremAgainstDefinition:
     """The kernel-gated class scan against the scalar predicate run on every graph, n <= 6.
 
-    Three workers cut n = 6 into shards that start inside a levels block.
+    Each check runs at the real block size, where n <= 6 fits in one
+    block, and again with 1000-mask blocks, so that the class maximum is
+    carried from block to block; three workers cut n = 6 into shards that
+    start inside a block.
     """
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
-    def test_class_max(self, class_members, klass, workers):
+    def test_class_max(self, monkeypatch, class_members, klass, workers):
         expected = {}
         for n, ell, edges in class_members[klass]:
             if ell >= 1:
                 expected[n, ell] = max(expected.get((n, ell), -1), edges)
-        report = verify_theorem_bound(6, klass, workers=workers)
-        assert {(row["n"], row["ell"]): row["class_max"] for row in report.params["tightness"]} == expected
+        for block in (_BLOCK, 1000):
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            report = verify_theorem_bound(6, klass, workers=workers)
+            assert {(row["n"], row["ell"]): row["class_max"] for row in report.params["tightness"]} == expected
 
     # Lowered by one, only graphs at the bound violate; at zero, every
     # member with an edge does, so the count tells the classes apart.
@@ -168,11 +187,14 @@ class TestTheoremAgainstDefinition:
         lowered = lambda n, ell: lower(real(n, ell))
         monkeypatch.setattr(harness, "reduced_dag_edge_bound", lowered)
         expected = sum(ell >= 1 and edges > lowered(n, ell) for n, ell, edges in class_members[klass])
-        report = verify_theorem_bound(6, klass, workers=workers)
-        listed = sum(v["detail"].startswith(f"class {klass!r}") for v in report.violations)
-        last = overflow_detail(report)
-        further = int(last.split()[0]) if last.endswith("further violations not listed") else 0
-        assert expected > 0 and listed + further == expected
+        assert expected > 0
+        for block in (_BLOCK, 1000):
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            report = verify_theorem_bound(6, klass, workers=workers)
+            listed = sum(v["detail"].startswith(f"class {klass!r}") for v in report.violations)
+            last = overflow_detail(report)
+            further = int(last.split()[0]) if last.endswith("further violations not listed") else 0
+            assert listed + further == expected
 
 
 class TestImplicationsClaim:
@@ -180,10 +202,6 @@ class TestImplicationsClaim:
         report = verify_implications(4, random_trials=100)
         assert report.ok
         assert report.checked == 75 + 100
-
-    def test_random_max_n_below_two(self):
-        with pytest.raises(InvalidParamsError):
-            verify_implications(3, random_trials=5, random_max_n=1)
 
     def test_negative_seed(self):
         with pytest.raises(InvalidParamsError, match="seed"):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import dagx.kernels as kernels
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import reach_to_masks
-from dagx.kernels import _REACH_BLOCK, _edge_rows, _reach_verdicts, _row_dtype
+from dagx.kernels import _BLOCK, _blocks, _edge_rows, _reach_verdicts, _row_dtype
 from dagx.predicates import (
     is_extremely_reduced,
     is_reduced,
@@ -38,7 +39,7 @@ class TestReachKernel:
     @pytest.mark.parametrize(
         "n, start, stop",
         [
-            (7, _REACH_BLOCK - 37, _REACH_BLOCK + 91),  # straddles a block boundary
+            (7, _BLOCK - 37, _BLOCK + 91),  # straddles a block boundary
             (7, 5 * 8192 + 17, 6 * 8192 + 200),  # unaligned
             (7, (1 << 20) - 150, (1 << 20) + 150),  # the top bit flips inside the range
             (7, dag_count(7) - 300, dag_count(7)),  # fixed high bits all set
@@ -48,6 +49,19 @@ class TestReachKernel:
     )
     def test_unaligned_ranges(self, n, start, stop):
         assert_reach_matches_scalar(n, start, stop)
+
+    @pytest.mark.parametrize("block", [_BLOCK, 1000])
+    def test_blocks_straddle(self, monkeypatch, block):
+        # The runs of _BLOCK masks the sweeps cut a range into give together
+        # what one call over the range gives.
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        start, stop = block - 37, 2 * block + 91
+        runs = list(_blocks(start, stop))
+        assert runs == [(start, start + block), (start + block, stop)]
+        whole = _reach_verdicts(*_edge_rows(7, start, stop))
+        parts = [_reach_verdicts(*_edge_rows(7, a, b)) for a, b in runs]
+        for field, want in zip(whole._fields, whole):
+            assert np.array_equal(np.concatenate([getattr(p, field) for p in parts], axis=-1), want), field
 
     @pytest.mark.parametrize("n, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
     def test_row_dtype(self, n, dtype):

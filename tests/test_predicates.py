@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagx import (
     CapExceededError,
     Dag,
     EndpointMismatchError,
+    VertexRangeError,
     enumerate_dags,
     enumerate_paths,
     extremal_dag,
@@ -21,6 +23,7 @@ from dagx import (
     reachability,
     transitive_closure,
 )
+from dagx.predicates import path_vertex_masks
 
 from conftest import chain, forward_dags
 
@@ -46,10 +49,27 @@ class TestEnumeratePaths:
             enumerate_paths(g, 0, 5, cap=15)
 
     def test_vertex_out_of_range(self):
-        from dagx import VertexRangeError
-
         with pytest.raises(VertexRangeError):
             enumerate_paths(chain(3), 0, 7)
+
+    @pytest.mark.parametrize(
+        "v, w", [(0, 7), (7, 0), (0, 3), (0, -1), (-1, 2)], ids=["above", "source-above", "at-n", "negative", "source-negative"]
+    )
+    def test_path_vertex_masks_out_of_range(self, v, w):
+        with pytest.raises(VertexRangeError):
+            path_vertex_masks(chain(3), v, w)
+
+    @given(forward_dags(max_n=6), st.data())
+    @settings(max_examples=100)
+    def test_relabeling_permutes_the_paths(self, g, data):
+        # On the relabeled graph the vertex order is no longer topological,
+        # so each path's vertex set is listed by a Kahn order.
+        perm = data.draw(st.permutations(range(g.n)))
+        h = Dag(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        for v in range(g.n):
+            for w in range(g.n):
+                moved = sorted(tuple(perm[x] for x in p) for p in enumerate_paths(g, v, w))
+                assert enumerate_paths(h, perm[v], perm[w]) == moved
 
     @given(forward_dags(max_n=6))
     @settings(max_examples=100)
