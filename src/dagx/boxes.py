@@ -20,6 +20,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DagxError, DegenerateIntervalError, InvalidParamsError, ParseError
 from .graph import Dag
@@ -154,6 +155,32 @@ def directed_intersection_graph(family: BoxFamily) -> Dag:
     return Dag(n, edges)
 
 
+def _layered_boxes(columns: int, frames: int, slats: int, jitter: Callable[..., Fraction]) -> list[tuple[str, Box]]:
+    """Columns x_i, frames y_j and slats z_k of :func:`extremal_box_family`, each coordinate plus a jitter.
+
+    ``jitter(lo, hi, den=16)`` is called once per coordinate, in the order
+    ix_lo, ix_hi, jy_lo, jy_hi for columns and frames and jy_lo, jy_hi,
+    ix_lo, ix_hi for slats.
+    """
+    entries = []
+    for i in range(1, columns + 1):
+        x = box(2 * i + jitter(-9, 0), 2 * i + 1 + jitter(0, 9), -10 + jitter(-5, 5), 10 + jitter(-5, 5))
+        entries.append((f"x{i}", x))
+    for j in range(1, frames + 1):
+        y = box(
+            -(20 + j) + jitter(-12, 12),
+            20 + j + jitter(-12, 12),
+            -(10 - j) + jitter(-12, 12),
+            10 - j + jitter(-12, 12),
+        )
+        entries.append((f"y{j}", y))
+    for k in range(1, slats + 1):
+        lo = Fraction(k, 10) + jitter(-3, 3, 320)
+        hi = Fraction(k, 10) + Fraction(1, 20) + jitter(-3, 3, 320)
+        entries.append((f"z{k}", box(-40 + jitter(-9, 9), 40 + jitter(-9, 9), lo, hi)))
+    return entries
+
+
 def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
     """Box realization of the three-layer extremal graph.
 
@@ -175,15 +202,7 @@ def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
             f"spec {spec} exceeds the default coordinate scale "
             f"(need r <= 9, l <= 10, s/10 + 1/20 < 11 - l)"
         )
-    entries: list[tuple[str, Box]] = []
-    for i in range(1, r + 1):
-        entries.append((f"x{i}", box(2 * i, 2 * i + 1, -10, 10)))
-    for j in range(1, l):
-        entries.append((f"y{j}", box(-(20 + j), 20 + j, -(10 - j), 10 - j)))
-    for k in range(1, s + 1):
-        lo = Fraction(k, 10)
-        entries.append((f"z{k}", Box(Interval(-40, 40), Interval(lo, lo + Fraction(1, 20)))))
-    return BoxFamily(tuple(entries))
+    return BoxFamily(tuple(_layered_boxes(r, l - 1, s, lambda *_: Fraction(0))))
 
 
 def random_box_family(count: int, seed) -> BoxFamily:
@@ -221,40 +240,11 @@ def random_transverse_family(seed) -> BoxFamily:
         s = int(rng.integers(0, 5))
         if r + lm + s == 0:
             continue
-        entries: list[tuple[str, Box]] = []
         # Column widths stay positive (lo only shifts down, hi only up)
         # but neighboring columns can be pushed into overlap, and frame
         # nesting margins are 1 against jitter spreads above 1, so some
         # draws fail validation below.
-        for i in range(1, r + 1):
-            entries.append(
-                (
-                    f"x{i}",
-                    box(
-                        2 * i + jitter(-9, 0),
-                        2 * i + 1 + jitter(0, 9),
-                        -10 + jitter(-5, 5),
-                        10 + jitter(-5, 5),
-                    ),
-                )
-            )
-        for j in range(1, lm + 1):
-            entries.append(
-                (
-                    f"y{j}",
-                    box(
-                        -(20 + j) + jitter(-12, 12),
-                        20 + j + jitter(-12, 12),
-                        -(10 - j) + jitter(-12, 12),
-                        10 - j + jitter(-12, 12),
-                    ),
-                )
-            )
-        for k in range(1, s + 1):
-            lo = Fraction(k, 10) + jitter(-3, 3, 320)
-            hi = Fraction(k, 10) + Fraction(1, 20) + jitter(-3, 3, 320)
-            entries.append((f"z{k}", box(-40 + jitter(-9, 9), 40 + jitter(-9, 9), lo, hi)))
-
+        entries = _layered_boxes(r, lm, s, jitter)
         kept = [e for e in entries if rng.random() < 0.8]
         if not kept:
             kept = entries
@@ -286,15 +276,12 @@ def parse_box_csv(text: str) -> BoxFamily:
     for lineno, row in rows[1:]:
         if len(row) != 5:
             raise ParseError(f"expected 5 fields, got {len(row)}", lineno)
-        ident = row[0].strip()
-        if any(map(_exponent_too_large, row[1:])):
-            raise ParseError(f"bad coordinate: exponent above the limit {MAX_COORD_EXPONENT}", lineno)
         try:
-            coords = [Fraction(f.strip()) for f in row[1:]]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad coordinate: {exc}", lineno) from None
-        try:
-            entries.append((ident, box(*coords)))
+            # Every field is read before box() checks an interval, so a bad
+            # coordinate is a ParseError even in a row with a degenerate one.
+            entries.append((row[0].strip(), box(*[_coord(f.strip()) for f in row[1:]])))
+        except InvalidParamsError as exc:
+            raise ParseError(str(exc), lineno) from None
         except DegenerateIntervalError as exc:
             raise DegenerateIntervalError(f"line {lineno}: {exc}") from None
     return BoxFamily(tuple(entries))

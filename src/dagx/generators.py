@@ -10,11 +10,13 @@ isomorphism-invariant claims are fully covered without deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Iterator
 
 import numpy as np
 
+from .bounds import balanced_parts
 from .errors import InvalidParamsError, LimitExceededError
 from .graph import Dag, Edge, bits
 
@@ -73,23 +75,24 @@ def enumerate_dags(
         yield _dag_at(n, index)
 
 
-def turan_dag(n: int, k: int) -> Dag:
-    """Balanced complete k-partite graph, edges oriented low part to high part."""
-    from .bounds import balanced_parts
-
-    parts = balanced_parts(n, k)
-    ids: list[list[int]] = []
-    nxt = 0
+def _multipartite(parts: list[int]) -> Dag:
+    """Complete multipartite graph on consecutive vertex blocks of the given sizes, oriented low block to high."""
+    n = sum(parts)
+    edges = []
+    lo = 0
     for size in parts:
-        ids.append(list(range(nxt, nxt + size)))
-        nxt += size
-    edges = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            for u in ids[i]:
-                for v in ids[j]:
-                    edges.add((u, v))
+        edges += product(range(lo, lo + size), range(lo + size, n))
+        lo += size
     return Dag._unchecked(n, frozenset(edges))
+
+
+def turan_dag(n: int, k: int) -> Dag:
+    """Balanced complete k-partite graph, edges oriented low part to high part.
+
+    The parts are consecutive vertex blocks of sizes ``balanced_parts(n, k)``;
+    :func:`extremal_dag` is the same orientation on other part sizes.
+    """
+    return _multipartite(balanced_parts(n, k))
 
 
 @dataclass(frozen=True)
@@ -122,26 +125,12 @@ def extremal_dag(spec: ExtremalSpec) -> Dag:
 
     Vertices are numbered x block first (0..r-1), then y (r..r+l-2),
     then z. Edges: every x->y, every x->z, every y->z, and y_i->y_j for
-    i < j. The result is transitive and extremely reduced; its longest
-    path has length l whenever s >= 1.
+    i < j. This is the complete multipartite orientation of
+    :func:`turan_dag` on the parts r, 1 (l - 1 times), s. The result is
+    transitive and extremely reduced; its longest path has length l
+    whenever s >= 1.
     """
-    r, l, s = spec.r, spec.l, spec.s
-    xs = range(r)
-    ys = range(r, r + l - 1)
-    zs = range(r + l - 1, r + l - 1 + s)
-    edges = set()
-    for x in xs:
-        for y in ys:
-            edges.add((x, y))
-        for z in zs:
-            edges.add((x, z))
-    ylist = list(ys)
-    for i, yi in enumerate(ylist):
-        for yj in ylist[i + 1:]:
-            edges.add((yi, yj))
-        for z in zs:
-            edges.add((yi, z))
-    return Dag._unchecked(spec.vertex_count, frozenset(edges))
+    return _multipartite([spec.r, *[1] * (spec.l - 1), spec.s])
 
 
 def extremal_for(n: int, ell: int) -> Dag:

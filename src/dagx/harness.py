@@ -186,11 +186,11 @@ class _Sweep(ExitStack):
     """One claim's sweep: sharding, one worker pool, merged counts and sample, the report.
 
     ``scan(*args, start, stop)`` checks the indices start..stop-1 and
-    returns a dict with ``checked``, a ``sample`` of its violations and
-    any claim-specific counts. A range is cut into ``workers`` shards
-    whatever the machine, so merged reports are identical for every
-    worker count; the shards run in one pool, opened on first use, of at
-    most one process per CPU.
+    returns a dict with a ``sample`` of its violations and any
+    claim-specific counts; ``run`` counts every index of its range as
+    checked. A range is cut into ``workers`` shards whatever the machine,
+    so merged reports are identical for every worker count; the shards
+    run in one pool, opened on first use, of at most one process per CPU.
     """
 
     def __init__(self, workers: int):
@@ -213,8 +213,8 @@ class _Sweep(ExitStack):
                 self._pool = self.enter_context(ProcessPoolExecutor(max_workers=processes))
             futures = [self._pool.submit(scan, *args, a, b) for a, b in shards]
             parts = [f.result() for f in futures]
+        self.checked += total
         for part in parts:
-            self.checked += part["checked"]
             self.sample.extend(part["sample"].count, part["sample"].entries)
         return parts
 
@@ -241,26 +241,41 @@ def _max_edges(parts: list[dict]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Turan bound: edges <= t(n, ell + 1) over the full enumeration.
+# Edge bounds: edges <= B(n, ell) over a class, with equality attained. Every
+# DAG obeys the Turan bound t(n, ell + 1); the reduced classes obey
+# t(n - ell + 1, 2) + the interval quantity.
+
+_CLASS_PREDICATES = {
+    "extremely": is_extremely_reduced,
+    "strongly": is_strongly_reduced,
+    "reduced": is_reduced,
+}
 
 
-def _scan_turan(n: int, start: int, stop: int) -> dict:
-    bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
-    seen = np.zeros((n, comb(n, 2) + 1), dtype=bool)
+def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
+    """Per-ell edge maxima of the members of ``klass`` (every DAG when None) and the graphs above the bound."""
+    if klass is None:
+        bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
+        detail = lambda e, lv: f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound[lv]}"
+    else:
+        bound = np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
+        detail = lambda e, lv: f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}"
+    max_edges = np.full(n, -1, dtype=np.int8)
     sample = _Sample()
     for a, b in _blocks(start, stop):
         ell, edges = _levels_chunk(n, a, b)
-        seen[ell, edges] = True
-        over = np.flatnonzero(edges > bound[ell])
-        details = lambda j: [
-            f"{edges[j]} edges with longest path {ell[j]}, above t({n},{ell[j] + 1}) = {bound[ell[j]]}"
-        ]
-        sample.extend(over.size, _mask_entries(n, a, over, details))
-    return {
-        "checked": stop - start,
-        "max_edges": [int(row.nonzero()[0][-1]) if row.any() else -1 for row in seen],
-        "sample": sample,
-    }
+        # Only a graph above the maximum so far or above the bound can
+        # change the outcome; the maximum at the block start gates a
+        # superset of those, and the reach kernel decides class
+        # membership for the gated masks only.
+        hits = np.flatnonzero(edges > np.minimum(max_edges, bound)[ell])
+        if klass is not None and hits.size:
+            succ, pred = _edge_rows(n, a, b)
+            hits = hits[getattr(_reach_verdicts(succ[:, hits], pred[:, hits]), klass)]
+        np.maximum.at(max_edges, ell[hits], edges[hits])
+        over = hits[edges[hits] > bound[ell[hits]]]
+        sample.extend(over.size, _mask_entries(n, a, over, lambda j: [detail(edges[j], ell[j])]))
+    return {"max_edges": max_edges.tolist(), "sample": sample}
 
 
 def verify_turan_bound(
@@ -270,7 +285,7 @@ def verify_turan_bound(
     _require_range("turan", max_n, limit)
     observed: dict[str, int] = {}
     with _Sweep(workers) as sweep:
-        for n, parts in sweep.over_n(_scan_turan, max_n):
+        for n, parts in sweep.over_n(_scan_edge_bound, max_n, None):
             max_edges = _max_edges(parts)
             for lv in range(n):
                 bound = turan_graph_edges(n, lv + 1)
@@ -285,40 +300,6 @@ def verify_turan_bound(
     return sweep.report(
         "turan-bound", f"all forward-labeled DAGs, n <= {max_n}", {"max_n": max_n, "observed_max": observed}
     )
-
-
-# ---------------------------------------------------------------------------
-# Class edge bound: edges <= t(n-ell+1, 2) + interval quantity, per class.
-
-_CLASS_PREDICATES = {
-    "extremely": is_extremely_reduced,
-    "strongly": is_strongly_reduced,
-    "reduced": is_reduced,
-}
-
-
-def _scan_class_bound(n: int, klass: str, start: int, stop: int) -> dict:
-    bound = np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
-    max_edges = np.full(n, -1, dtype=np.int8)
-    sample = _Sample()
-    for a, b in _blocks(start, stop):
-        ell, edges = _levels_chunk(n, a, b)
-        # Class membership only matters for graphs that could beat the
-        # class maximum or the bound itself. The maximum at the block start
-        # gates a superset of those; the reach kernel decides membership for
-        # the gated masks only. Edgeless graphs (ell = 0) never pass.
-        gate = np.minimum(max_edges, bound)
-        gate[0] = 127
-        gated = np.flatnonzero(edges > gate[ell])
-        if not gated.size:
-            continue
-        succ, pred = _edge_rows(n, a, b)
-        hits = gated[getattr(_reach_verdicts(succ[:, gated], pred[:, gated]), klass)]
-        np.maximum.at(max_edges, ell[hits], edges[hits])
-        over = hits[edges[hits] > bound[ell[hits]]]
-        details = lambda j: [f"class {klass!r}: {edges[j]} edges at ell={ell[j]}, above bound {bound[ell[j]]}"]
-        sample.extend(over.size, _mask_entries(n, a, over, details))
-    return {"checked": stop - start, "max_edges": max_edges.tolist(), "sample": sample}
 
 
 def verify_theorem_bound(
@@ -342,7 +323,7 @@ def verify_theorem_bound(
     tightness: list[dict] = []
     predicate = _CLASS_PREDICATES[klass]
     with _Sweep(workers) as sweep:
-        for n, parts in sweep.over_n(_scan_class_bound, max_n, klass):
+        for n, parts in sweep.over_n(_scan_edge_bound, max_n, klass):
             max_edges = _max_edges(parts)
             for lv in range(1, n):
                 bound = reduced_dag_edge_bound(n, lv)
@@ -409,7 +390,7 @@ def _scan_implications(n: int, start: int, stop: int) -> dict:
         g = _dag_at(n, mask)
         for problem in _predicate_problems(g):
             sample.add(_graph_entry(g, problem))
-    return {"checked": stop - start, "sample": sample}
+    return {"sample": sample}
 
 
 def _scan_random_agreement(seed: int, t_start: int, t_stop: int) -> dict:
@@ -422,7 +403,7 @@ def _scan_random_agreement(seed: int, t_start: int, t_stop: int) -> dict:
         problems = _predicate_problems(g)
         if problems:
             sample.add(_graph_entry(g, f"trial {t}: " + "; ".join(problems)))
-    return {"checked": t_stop - t_start, "sample": sample}
+    return {"sample": sample}
 
 
 def verify_implications(
@@ -474,7 +455,7 @@ def _scan_equiv(n: int, start: int, stop: int) -> dict:
             f" strongly={bool(v.strongly[j])} reduced={bool(v.reduced[j])}"
         ]
         sample.extend(hits.size, _mask_entries(n, a, hits, details))
-    return {"checked": stop - start, "transitive": transitive_count, "sample": sample}
+    return {"transitive": transitive_count, "sample": sample}
 
 
 def verify_equivalence_transitive(
@@ -526,7 +507,7 @@ def _scan_closure(n: int, start: int, stop: int) -> dict:
         hits = np.flatnonzero(faults.any(axis=0))
         details = lambda j: [text for text, hit in zip(_CLOSURE_FAULTS, faults[:, j]) if hit]
         sample.extend(int(np.count_nonzero(faults)), _mask_entries(n, a, hits, details))
-    return {"checked": stop - start, "reduced": reduced_count, "sample": sample}
+    return {"reduced": reduced_count, "sample": sample}
 
 
 def verify_closure(
@@ -561,7 +542,7 @@ def _scan_separations(n: int, start: int, stop: int) -> dict:
                 first[kind] = a + int(hits.argmax())
         if None not in first:
             break
-    return {"checked": stop - start, "sample": _Sample(), "first": tuple(first)}
+    return {"sample": _Sample(), "first": tuple(first)}
 
 
 def find_separations(
@@ -718,7 +699,7 @@ def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
         g = directed_intersection_graph(family)
         if not (is_extremely_reduced(g) and is_transitive(g)):
             sample.add(_box_entry(family, f"transverse trial {t}: graph not extremely reduced + transitive"))
-    return {"checked": stop - start, "sample": sample}
+    return {"sample": sample}
 
 
 def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
@@ -736,7 +717,7 @@ def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
                     pair = f"{family.ids[i]},{family.ids[j]}"
                     detail = f"general trial {t}: boxes {pair} share ancestor and descendant but do not intersect"
                     sample.add(_box_entry(family, detail))
-    return {"checked": stop - start, "sample": sample}
+    return {"sample": sample}
 
 
 def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: int = 1) -> VerificationReport:

@@ -19,10 +19,10 @@ from .generators import pair_table
 # Masks per kernel call, for every kernel: large enough to amortise
 # numpy's per-call cost over the few hundred passes a block takes. On one
 # core of a 2-core x86 box, going from 8192 to 65536 masks cut the reach
-# kernel's time per mask at n = 8 by a factor of 2.7, verify_turan_bound(8)
-# from 11.5-13.2 s to 7.3-7.7 s, and verify_theorem_bound(8, k) from
-# 7.9-9.8 s to 5.0-6.1 s per class. A block's work arrays take a few MB:
-# the peak RSS of an n = 8 sweep rose from 31.9 to 35.7 MB.
+# kernel's time per mask at n = 8 by a factor of 2.7 and
+# verify_theorem_bound(8, k) from 7.9-9.8 s to 5.0-6.1 s per class;
+# verify_turan_bound(8) takes 4.2-4.6 s. A block's work arrays take a few
+# MB: the peak RSS of an n = 8 sweep rose from 31.9 to 35.7 MB.
 _BLOCK = 65536
 
 

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -96,6 +97,35 @@ class TestExtremalDag:
             for l in range(2, 6):
                 for s in range(1, 4):
                     assert longest_path_length(extremal_dag(ExtremalSpec(r, l, s))) == l
+
+
+class TestMultipartiteDefinitions:
+    """turan_dag and extremal_dag against their docstring definitions, as labeled edge sets."""
+
+    def test_turan_dag(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                # Consecutive parts, the first n mod k of them one larger.
+                q, r = divmod(n, k)
+                part = [v // (q + 1) if v < r * (q + 1) else r + (v - r * (q + 1)) // q for v in range(n)]
+                g = turan_dag(n, k)
+                assert g.n == n
+                assert g.edges == {(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]}
+
+    def test_extremal_dag(self):
+        for r, l, s in product(range(1, 12), range(2, 13), range(11)):
+            if r + l - 1 + s > 12:
+                continue
+            xs, ys, zs = range(r), range(r, r + l - 1), range(r + l - 1, r + l - 1 + s)
+            expected = (
+                set(product(xs, ys))
+                | set(product(xs, zs))
+                | set(product(ys, zs))
+                | {(yi, yj) for yi in ys for yj in ys if yi < yj}
+            )
+            g = extremal_dag(ExtremalSpec(r, l, s))
+            assert g.n == r + l - 1 + s
+            assert g.edges == expected
 
 
 class TestExtremalFor:

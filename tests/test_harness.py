@@ -144,25 +144,38 @@ THEOREM_CLASSES = {"extremely": is_extremely_reduced, "strongly": is_strongly_re
 
 @pytest.fixture(scope="module")
 def class_members():
-    """klass -> [(n, ell, edges)] of every class member with n <= 6, from the scalar predicates."""
-    members = {klass: [] for klass in THEOREM_CLASSES}
+    """klass -> [(n, ell, edges)] of every class member with n <= 6, from the scalar predicates.
+
+    The key "all" lists every DAG.
+    """
+    members = {klass: [] for klass in (*THEOREM_CLASSES, "all")}
     for n in range(1, 7):
         for mask in range(dag_count(n)):
             g = dag_from_index(n, mask)
             ell, edges = longest_path_length(g), len(g.edges)
+            members["all"].append((n, ell, edges))
             for klass, predicate in THEOREM_CLASSES.items():
                 if predicate(g):
                     members[klass].append((n, ell, edges))
     return members
 
 
-class TestTheoremAgainstDefinition:
-    """The kernel-gated class scan against the scalar predicate run on every graph, n <= 6.
+def counted_violations(report: VerificationReport, marker: str) -> int:
+    """Listed graph violations whose detail contains ``marker``, plus the further ones counted."""
+    listed = sum(marker in v["detail"] for v in report.violations)
+    last = overflow_detail(report)
+    return listed + (int(last.split()[0]) if last.endswith("further violations not listed") else 0)
 
-    Each check runs at the real block size, where n <= 6 fits in one
-    block, and again with 1000-mask blocks, so that the class maximum is
-    carried from block to block; three workers cut n = 6 into shards that
-    start inside a block.
+
+class TestTheoremAgainstDefinition:
+    """The gated edge-bound scan against the definition run on every graph, n <= 6.
+
+    The reduced classes are checked against their scalar predicates; the
+    Turan bound, over every DAG, against ``longest_path_length``. Each
+    check runs at the real block size, where n <= 6 fits in one block, and
+    again with 1000-mask blocks, so that the maximum is carried from block
+    to block; three workers cut n = 6 into shards that start inside a
+    block.
     """
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -191,10 +204,28 @@ class TestTheoremAgainstDefinition:
         for block in (_BLOCK, 1000):
             monkeypatch.setattr(kernels, "_BLOCK", block)
             report = verify_theorem_bound(6, klass, workers=workers)
-            listed = sum(v["detail"].startswith(f"class {klass!r}") for v in report.violations)
-            last = overflow_detail(report)
-            further = int(last.split()[0]) if last.endswith("further violations not listed") else 0
-            assert listed + further == expected
+            assert counted_violations(report, f"class {klass!r}:") == expected
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_turan_max(self, monkeypatch, class_members, workers):
+        expected = {}
+        for n, ell, edges in class_members["all"]:
+            expected[f"{n},{ell}"] = max(expected.get(f"{n},{ell}", -1), edges)
+        for block in (_BLOCK, 1000):
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            assert verify_turan_bound(6, workers=workers).params["observed_max"] == expected
+
+    # Lowered by one, the edgeless graphs (t(n, 1) = 0) violate too.
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_turan_violations_with_the_bound_lowered(self, monkeypatch, class_members, workers):
+        real = harness.turan_graph_edges
+        monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: real(n, k) - 1)
+        expected = sum(edges >= real(n, ell + 1) for n, ell, edges in class_members["all"])
+        assert expected > 0
+        for block in (_BLOCK, 1000):
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            report = verify_turan_bound(6, workers=workers)
+            assert counted_violations(report, "edges with longest path") == expected
 
 
 class TestImplicationsClaim:
