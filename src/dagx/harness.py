@@ -81,8 +81,10 @@ MAX_PREDICATE_VERTICES = 6
 # The random half of the implication sweep draws DAGs on 2..8 vertices.
 _RANDOM_MAX_N = 8
 # The clique-free maximum is proved by a hitting-set search, not an
-# enumeration; n = 8 takes about 0.6 s on one core of a 2-core x86 box.
-MAX_CLIQUE_VERTICES = 8
+# enumeration; on one core of a 2-core x86 box n <= 8 takes about 0.03 s,
+# n <= 9 about 0.5 s and n <= 10 about 18 s (peak RSS about 130 MB, most
+# of it the search's memo at n = 10, k = 3).
+MAX_CLIQUE_VERTICES = 10
 
 _VIOLATION_SAMPLE = 20
 
@@ -630,24 +632,52 @@ def _clique_edge_masks(n: int, size: int) -> list[int]:
     return masks
 
 
-def _cover_within(cliques: list[int], budget: int, removed: int = 0) -> bool:
-    """Can ``budget`` edge deletions hit every clique? Complete branching search.
+def _cover_within(cliques: list[int], budget: int) -> bool:
+    """Can ``budget`` edge deletions hit every clique? Complete branch-and-bound search.
 
-    Any hitting set must delete one edge of the first untouched clique, so
-    branching on its edges explores a superset of all hitting sets.
+    A node is a set ``removed`` of deleted edges and the budget left; it
+    branches on the edges of the first clique ``removed`` has not hit.
+
+    Completeness. Any hitting set that extends ``removed`` deletes an edge
+    of that clique, so the branches cover every hitting set.
+
+    Packing bound. Greedily collect unhit cliques that share no edge with
+    one another. One deleted edge lies in at most one of them, so hitting
+    them all takes at least as many deletions as were collected; more of
+    them than the budget left means the node fails.
+
+    Memo. Each branch adds an edge of a clique ``removed`` has not hit,
+    so an edge ``removed`` does not yet hold: a node's ``removed`` has
+    exactly ``budget - left`` edges, and the set alone fixes the budget
+    left. It also fixes the unhit cliques, and whether the node succeeds
+    depends on nothing else, so a ``removed`` set that failed once fails
+    again.
     """
-    for cm in cliques:
-        if not cm & removed:
-            if budget == 0:
-                return False
-            rest = cm
-            while rest:
-                low = rest & -rest
-                if _cover_within(cliques, budget - 1, removed | low):
-                    return True
-                rest ^= low
+    failed: set[int] = set()
+
+    def search(removed: int, open_: list[int], left: int) -> bool:
+        if not open_:
+            return True
+        if removed in failed:
             return False
-    return True
+        packed = used = 0
+        for cm in open_:
+            if not cm & used:
+                used |= cm
+                packed += 1
+                if packed > left:
+                    failed.add(removed)
+                    return False
+        rest = open_[0]
+        while rest:
+            low = rest & -rest
+            if search(removed | low, [cm for cm in open_ if not cm & low], left - 1):
+                return True
+            rest ^= low
+        failed.add(removed)
+        return False
+
+    return search(0, cliques, budget)
 
 
 def verify_clique_bound(max_n: int = 8, *, limit: int = MAX_CLIQUE_VERTICES) -> VerificationReport:
@@ -664,24 +694,24 @@ def verify_clique_bound(max_n: int = 8, *, limit: int = MAX_CLIQUE_VERTICES) -> 
     sweep = _Sweep(1)
     for n in range(2, max_n + 1):
         bit = _pair_bits(n)
+        # cliques[s]: the edge masks of every s-clique of K_n (none for s = n + 1).
+        cliques = [_clique_edge_masks(n, size) for size in range(n + 2)]
         for k in range(1, n + 1):
             t = turan_graph_edges(n, k)
             sweep.checked += 1
             budget = comb(n, 2) - t - 1
-            if budget >= 0:
-                cliques = _clique_edge_masks(n, k + 1)
-                if _cover_within(cliques, budget):
-                    detail = f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}"
-                    sweep.sample.note(_graph_entry(None, detail))
+            if budget >= 0 and _cover_within(cliques[k + 1], budget):
+                detail = f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}"
+                sweep.sample.note(_graph_entry(None, detail))
             g = turan_dag(n, k)
             mask = 0
             for pair in g.edges:
                 mask |= bit[pair]
             if len(g.edges) != t:
                 sweep.sample.note(_graph_entry(g, f"expected {t} edges at n={n}, k={k}"))
-            if not any(cm & ~mask == 0 for cm in _clique_edge_masks(n, min(k, n))):
+            if not any(cm & ~mask == 0 for cm in cliques[k]):
                 sweep.sample.note(_graph_entry(g, f"no {k}-clique at n={n}, k={k}"))
-            if k + 1 <= n and any(cm & ~mask == 0 for cm in _clique_edge_masks(n, k + 1)):
+            if any(cm & ~mask == 0 for cm in cliques[k + 1]):
                 sweep.sample.note(_graph_entry(g, f"unexpected {k + 1}-clique at n={n}, k={k}"))
     return sweep.report(
         "clique-free-maximum", f"all graphs, n <= {max_n} (via complete hitting-set search)", {"max_n": max_n}

@@ -20,6 +20,7 @@ from dagx import (
     turan_graph_edges,
     verify_box_props,
     verify_claim,
+    verify_clique_bound,
     verify_closure,
     verify_equivalence_transitive,
     verify_implications,
@@ -228,3 +229,13 @@ def test_criterion_13_theorem_bound_exhaustive_n8():
             assert row["class_max"] == row["bound"] == row["generator_edges"], row
     assert elapsed < 120, f"single-threaded n=8 class-bound sweeps took {elapsed:.0f}s"
     passed(13, f"class edge bound holds and is attained for all three classes, n <= 8, in {elapsed:.1f}s")
+
+
+def test_criterion_14_clique_free_maximum_n10():
+    t0 = time.perf_counter()
+    report = verify_clique_bound(10)
+    elapsed = time.perf_counter() - t0
+    assert report.violations == []
+    assert report.checked == sum(range(2, 11)) == 54
+    assert elapsed < 120, f"single-threaded n=10 clique search took {elapsed:.0f}s"
+    passed(14, f"t(n, k) is the K_(k+1)-free edge maximum and is attained, n <= 10, in {elapsed:.1f}s")

@@ -212,7 +212,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["claim"] == "clique-free-maximum"
         assert report["checked"] == 2 + 3 + 4 + 5
-        code, _, err = run(capsys, "verify", "clique", "--max-n", "9")
+        code, _, err = run(capsys, "verify", "clique", "--max-n", "11")
         assert code == 2 and "ceiling" in err
 
     def test_theorem_emits_array(self, capsys):

@@ -1,5 +1,6 @@
 import json
 from concurrent.futures import Future
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from dagx import (
     verify_theorem_bound,
     verify_turan_bound,
 )
+from dagx.bounds import turan_graph_edges
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
-from dagx.harness import CHORDED_CHAIN_EDGES
+from dagx.harness import CHORDED_CHAIN_EDGES, _clique_edge_masks, _cover_within
 from dagx.kernels import _BLOCK, _blocks, _levels_chunk
 
 from conftest import CHORDED_CHAIN
@@ -287,17 +289,36 @@ class TestCliqueBound:
     def test_detects_a_wrong_bound(self):
         # Sanity-check the search itself: 11 deletions cannot hit all
         # triangles of the 8-clique, but 12 can.
-        from dagx.harness import _clique_edge_masks, _cover_within
-
         triangles = _clique_edge_masks(8, 3)
         assert not _cover_within(triangles, 11)
         assert _cover_within(triangles, 12)
+
+    def test_search_matches_literal_oracle(self):
+        # Every edge set of K_n, n <= 6, tried in turn: the densest one with
+        # no (k + 1)-clique has t(n, k) edges, and the search says yes at
+        # budget b exactly when some b-edge set hits every (k + 1)-clique.
+        for n in range(2, 7):
+            pairs = comb(n, 2)
+            for k in range(1, n + 1):
+                cliques = _clique_edge_masks(n, k + 1)
+                free = [s for s in range(1 << pairs) if not any(cm & ~s == 0 for cm in cliques)]
+                assert max(bin(s).count("1") for s in free) == turan_graph_edges(n, k), (n, k)
+                sizes = {bin(d).count("1") for d in range(1 << pairs) if all(cm & d for cm in cliques)}
+                for b in range(pairs + 1):
+                    assert _cover_within(cliques, b) == (b in sizes), (n, k, b)
+
+    def test_finds_the_turan_complement(self):
+        # The C(n, 2) - t(n, k) edges inside the Turan graph's parts hit
+        # every (k + 1)-clique, so a prune that cuts a live branch fails here.
+        for n in range(2, 10):
+            for k in range(1, n + 1):
+                assert _cover_within(_clique_edge_masks(n, k + 1), comb(n, 2) - turan_graph_edges(n, k)), (n, k)
 
     def test_range_checked(self):
         with pytest.raises(InvalidParamsError):
             verify_clique_bound(-3)
         with pytest.raises(LimitExceededError):
-            verify_clique_bound(9)
+            verify_clique_bound(11)
 
 
 class TestBoxClaim:
@@ -382,7 +403,7 @@ class TestVerifyClaim:
         (report,) = verify_claim("clique")
         assert report.ok and report.params["max_n"] == 8
         with pytest.raises(LimitExceededError):
-            verify_claim("clique", max_n=9)
+            verify_claim("clique", max_n=11)
 
     def test_reach_claims_ceiling(self):
         # The kernel claims run through n = 8 without --limit; separations
