@@ -1,14 +1,13 @@
 """Command-line front end: analyze, closure, gen, boxes-graph, verify.
 
 Exit codes: 0 success / claim verified, 1 internal error, 2 input error,
-3 validation failure. The environment variable ``DAGX_MAX_N`` caps
-enumeration ranges globally.
+3 validation failure. ``verify --max-n`` sets a claim's range; a range
+beyond the claim's ceiling is an input error.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -21,7 +20,7 @@ from .boxes import (
     is_transverse_family,
     parse_box_csv,
 )
-from .errors import DagxError, InvalidParamsError, ParseError
+from .errors import DagxError, ParseError
 from .generators import ExtremalSpec, extremal_for, random_dag, turan_dag
 from .graph import format_edge_list, level_partition, parse_edge_list
 from .harness import CLAIMS, DEFAULT_SEED, verify_claim
@@ -162,36 +161,9 @@ def boxes_graph(path: str, require_transverse: bool) -> int:
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--trials", type=int, default=1000, show_default=True, help="random box families")
 @click.option("--rand-trials", type=int, default=1000, show_default=True, help="random DAGs for oracle agreement")
-@click.option("--limit", type=int, default=None, help="override a claim's enumeration ceiling")
-def verify(
-    claim: str,
-    max_n: int | None,
-    workers: int,
-    seed: int,
-    trials: int,
-    rand_trials: int,
-    limit: int | None,
-) -> int:
+def verify(claim: str, max_n: int | None, workers: int, seed: int, trials: int, rand_trials: int) -> int:
     """Re-check a claim over its range; JSON report on stdout, exit 0 iff clean."""
-    cap = os.environ.get("DAGX_MAX_N")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise InvalidParamsError(f"DAGX_MAX_N must be an integer, got {cap!r}") from None
-        click.echo(f"note: DAGX_MAX_N caps enumeration at n = {cap}", err=True)
-    if limit is not None:
-        click.echo(f"warning: enumeration ceiling overridden to {limit}; expect long runtimes", err=True)
-    reports = verify_claim(
-        claim,
-        max_n=max_n,
-        workers=workers,
-        seed=seed,
-        trials=trials,
-        random_trials=rand_trials,
-        limit=limit,
-        cap=cap,
-    )
+    reports = verify_claim(claim, max_n=max_n, workers=workers, seed=seed, trials=trials, random_trials=rand_trials)
     payload = [r.to_dict() for r in reports]
     click.echo(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     for r in reports:

@@ -42,7 +42,7 @@ class InvalidParamsError(DagxError):
 
 
 class LimitExceededError(DagxError):
-    """A requested exhaustive range exceeds the configured ceiling."""
+    """A requested exhaustive range exceeds the claim's ceiling."""
 
 
 class ParseError(DagxError):

@@ -55,20 +55,15 @@ def dag_from_index(n: int, index: int) -> Dag:
     return _dag_at(n, index)
 
 
-def enumerate_dags(
-    n: int,
-    start: int = 0,
-    stop: int | None = None,
-    max_vertices: int = MAX_ENUM_VERTICES,
-) -> Iterator[Dag]:
+def enumerate_dags(n: int, start: int = 0, stop: int | None = None) -> Iterator[Dag]:
     """Stream every forward-labeled DAG on n vertices, in index order.
 
     ``start``/``stop`` select an index sub-range so workers can partition
     the enumeration. Raises :class:`~dagx.errors.LimitExceededError` when
-    n exceeds ``max_vertices``.
+    n exceeds ``MAX_ENUM_VERTICES``.
     """
-    if n > max_vertices:
-        raise LimitExceededError(f"enumeration of n={n} exceeds the ceiling {max_vertices}")
+    if n > MAX_ENUM_VERTICES:
+        raise LimitExceededError(f"enumeration of n={n} exceeds the ceiling {MAX_ENUM_VERTICES}")
     total = dag_count(n)
     stop = total if stop is None else min(stop, total)
     for index in range(max(start, 0), stop):

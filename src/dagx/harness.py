@@ -115,13 +115,11 @@ class VerificationReport:
         return asdict(self)
 
 
-def _require_range(claim: str, max_n: int, limit: int) -> None:
+def _require_range(claim: str, max_n: int, ceiling: int) -> None:
     if max_n < 1:
         raise InvalidParamsError(f"{claim}: need max_n >= 1, got {max_n}")
-    if max_n > limit:
-        raise LimitExceededError(
-            f"{claim}: max_n={max_n} exceeds the ceiling {limit}; raise the ceiling explicitly to override"
-        )
+    if max_n > ceiling:
+        raise LimitExceededError(f"{claim}: max_n={max_n} exceeds the ceiling {ceiling}")
 
 
 def _require_workers(workers: int) -> None:
@@ -280,11 +278,9 @@ def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
     return {"max_edges": max_edges.tolist(), "sample": sample}
 
 
-def verify_turan_bound(
-    max_n: int = 7, *, workers: int = 1, limit: int = MAX_ENUM_VERTICES
-) -> VerificationReport:
+def verify_turan_bound(max_n: int = 7, *, workers: int = 1) -> VerificationReport:
     """Every enumerated DAG satisfies edges <= t(n, ell + 1), with equality attained."""
-    _require_range("turan", max_n, limit)
+    _require_range("turan", max_n, MAX_ENUM_VERTICES)
     observed: dict[str, int] = {}
     with _Sweep(workers) as sweep:
         for n, parts in sweep.over_n(_scan_edge_bound, max_n, None):
@@ -304,13 +300,7 @@ def verify_turan_bound(
     )
 
 
-def verify_theorem_bound(
-    max_n: int = 6,
-    klass: str = "extremely",
-    *,
-    workers: int = 1,
-    limit: int = MAX_ENUM_VERTICES,
-) -> VerificationReport:
+def verify_theorem_bound(max_n: int = 6, klass: str = "extremely", *, workers: int = 1) -> VerificationReport:
     """Class members satisfy the closed-form bound; generated instances attain it.
 
     The per-(n, ell) class maximum is recorded in ``params["tightness"]``
@@ -321,7 +311,7 @@ def verify_theorem_bound(
     """
     if klass not in _CLASS_PREDICATES:
         raise InvalidParamsError(f"unknown class {klass!r}; expected one of {sorted(_CLASS_PREDICATES)}")
-    _require_range("theorem", max_n, limit)
+    _require_range("theorem", max_n, MAX_ENUM_VERTICES)
     tightness: list[dict] = []
     predicate = _CLASS_PREDICATES[klass]
     with _Sweep(workers) as sweep:
@@ -414,10 +404,9 @@ def verify_implications(
     random_trials: int = 1000,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
-    limit: int = MAX_PREDICATE_VERTICES,
 ) -> VerificationReport:
     """extremely => strongly => reduced, and fast == brute force, everywhere tested."""
-    _require_range("implications", max_n, limit)
+    _require_range("implications", max_n, MAX_PREDICATE_VERTICES)
     if random_trials < 0:
         raise InvalidParamsError(f"implications: need random_trials >= 0, got {random_trials}")
     if seed < 0:
@@ -460,14 +449,9 @@ def _scan_equiv(n: int, start: int, stop: int) -> dict:
     return {"transitive": transitive_count, "sample": sample}
 
 
-def verify_equivalence_transitive(
-    max_n: int = 6,
-    *,
-    workers: int = 1,
-    limit: int = MAX_ENUM_VERTICES,
-) -> VerificationReport:
+def verify_equivalence_transitive(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
     """On every enumerated transitive DAG the three predicates agree."""
-    _require_range("equiv-transitive", max_n, limit)
+    _require_range("equiv-transitive", max_n, MAX_ENUM_VERTICES)
     params = {"max_n": max_n, "transitive_graphs": 0}
     with _Sweep(workers) as sweep:
         for _, parts in sweep.over_n(_scan_equiv, max_n):
@@ -512,14 +496,9 @@ def _scan_closure(n: int, start: int, stop: int) -> dict:
     return {"reduced": reduced_count, "sample": sample}
 
 
-def verify_closure(
-    max_n: int = 6,
-    *,
-    workers: int = 1,
-    limit: int = MAX_ENUM_VERTICES,
-) -> VerificationReport:
+def verify_closure(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
     """Closure is transitive, monotone, idempotent, and lifts reducedness to all classes."""
-    _require_range("closure", max_n, limit)
+    _require_range("closure", max_n, MAX_ENUM_VERTICES)
     params = {"max_n": max_n, "reduced_inputs": 0}
     with _Sweep(workers) as sweep:
         for _, parts in sweep.over_n(_scan_closure, max_n):
@@ -547,12 +526,7 @@ def _scan_separations(n: int, start: int, stop: int) -> dict:
     return {"sample": _Sample(), "first": tuple(first)}
 
 
-def find_separations(
-    max_n: int = 6,
-    *,
-    workers: int = 1,
-    limit: int = MAX_ENUM_VERTICES,
-) -> VerificationReport:
+def find_separations(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
     """Search the enumeration for class-separating witnesses.
 
     Finds the first (smallest n, then smallest index) DAG that is reduced
@@ -561,7 +535,7 @@ def find_separations(
     5-vertex chorded-chain example is verified explicitly and must show
     up as a type-(a) witness.
     """
-    _require_range("separations", max_n, limit)
+    _require_range("separations", max_n, MAX_ENUM_VERTICES)
     witnesses: list[dict] = []
     found: dict[str, tuple[int, int]] = {}
     with _Sweep(workers) as sweep:
@@ -621,8 +595,7 @@ def _pair_bits(n: int) -> dict[tuple[int, int], int]:
     return {pair: 1 << i for i, pair in enumerate(pair_table(n))}
 
 
-def _clique_edge_masks(n: int, size: int) -> list[int]:
-    bit = _pair_bits(n)
+def _clique_edge_masks(n: int, size: int, bit: dict[tuple[int, int], int]) -> list[int]:
     masks = []
     for sub in combinations(range(n), size):
         m = 0
@@ -680,7 +653,7 @@ def _cover_within(cliques: list[int], budget: int) -> bool:
     return search(0, cliques, budget)
 
 
-def verify_clique_bound(max_n: int = 8, *, limit: int = MAX_CLIQUE_VERTICES) -> VerificationReport:
+def verify_clique_bound(max_n: int = 8) -> VerificationReport:
     """t(n, k) equals the clique-free edge maximum, exhaustively for n <= max_n.
 
     Upper bound: a K_{k+1}-free graph with t(n, k) + 1 edges would leave a
@@ -690,12 +663,12 @@ def verify_clique_bound(max_n: int = 8, *, limit: int = MAX_CLIQUE_VERTICES) -> 
     graphs are clique-free). Attainment: the balanced multipartite graph
     carries t(n, k) edges, a K_k, and no K_{k+1}.
     """
-    _require_range("clique", max_n, limit)
+    _require_range("clique", max_n, MAX_CLIQUE_VERTICES)
     sweep = _Sweep(1)
     for n in range(2, max_n + 1):
         bit = _pair_bits(n)
         # cliques[s]: the edge masks of every s-clique of K_n (none for s = n + 1).
-        cliques = [_clique_edge_masks(n, size) for size in range(n + 2)]
+        cliques = [_clique_edge_masks(n, size, bit) for size in range(n + 2)]
         for k in range(1, n + 1):
             t = turan_graph_edges(n, k)
             sweep.checked += 1
@@ -781,31 +754,25 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
 # ---------------------------------------------------------------------------
 # Front door.
 
-# claim -> (default max_n, ceiling, runner); a runner maps the resolved
-# options to the claim's reports. boxes has no enumeration range.
-_CLAIM_TABLE: dict[str, tuple[int | None, int | None, Callable[[SimpleNamespace], list[VerificationReport]]]] = {
-    "turan": (7, MAX_ENUM_VERTICES, lambda o: [verify_turan_bound(o.n, workers=o.workers, limit=o.limit)]),
+# claim -> (ceiling, runner); a runner maps the resolved options to the
+# claim's reports. ``o.range`` holds max_n only when the caller gave one,
+# so each default range is stated once, in its verify_* signature. boxes
+# has no enumeration range.
+_CLAIM_TABLE: dict[str, tuple[int | None, Callable[[SimpleNamespace], list[VerificationReport]]]] = {
+    "turan": (MAX_ENUM_VERTICES, lambda o: [verify_turan_bound(**o.range, workers=o.workers)]),
     "theorem": (
-        6,
         MAX_ENUM_VERTICES,
-        lambda o: [verify_theorem_bound(o.n, k, workers=o.workers, limit=o.limit) for k in _CLASS_PREDICATES],
+        lambda o: [verify_theorem_bound(**o.range, klass=k, workers=o.workers) for k in _CLASS_PREDICATES],
     ),
     "implications": (
-        5,
         MAX_PREDICATE_VERTICES,
-        lambda o: [
-            verify_implications(o.n, random_trials=o.random_trials, seed=o.seed, workers=o.workers, limit=o.limit)
-        ],
+        lambda o: [verify_implications(**o.range, random_trials=o.random_trials, seed=o.seed, workers=o.workers)],
     ),
-    "equiv-transitive": (
-        6,
-        MAX_ENUM_VERTICES,
-        lambda o: [verify_equivalence_transitive(o.n, workers=o.workers, limit=o.limit)],
-    ),
-    "closure": (6, MAX_ENUM_VERTICES, lambda o: [verify_closure(o.n, workers=o.workers, limit=o.limit)]),
-    "separations": (6, MAX_ENUM_VERTICES, lambda o: [find_separations(o.n, workers=o.workers, limit=o.limit)]),
-    "boxes": (None, None, lambda o: [verify_box_props(o.trials, o.seed, workers=o.workers)]),
-    "clique": (8, MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(o.n, limit=o.limit)]),
+    "equiv-transitive": (MAX_ENUM_VERTICES, lambda o: [verify_equivalence_transitive(**o.range, workers=o.workers)]),
+    "closure": (MAX_ENUM_VERTICES, lambda o: [verify_closure(**o.range, workers=o.workers)]),
+    "separations": (MAX_ENUM_VERTICES, lambda o: [find_separations(**o.range, workers=o.workers)]),
+    "boxes": (None, lambda o: [verify_box_props(o.trials, o.seed, workers=o.workers)]),
+    "clique": (MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(**o.range)]),
 }
 
 CLAIMS = (*_CLAIM_TABLE, "all")
@@ -819,31 +786,22 @@ def verify_claim(
     seed: int = DEFAULT_SEED,
     trials: int = 1000,
     random_trials: int = 1000,
-    limit: int | None = None,
-    cap: int | None = None,
 ) -> list[VerificationReport]:
     """Run one named claim (or ``all``); returns one report per sub-check.
 
-    ``cap`` lowers every enumeration range (it never raises one); under
-    ``all``, a shared max_n is additionally clamped to each claim's own
-    ceiling instead of erroring.
+    Without ``max_n`` each claim runs at its default range. Under ``all``,
+    a given max_n is clamped to each claim's own ceiling instead of
+    erroring.
     """
     if claim not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
     _require_workers(workers)
     reports: list[VerificationReport] = []
     for name in _CLAIM_TABLE if claim == "all" else (claim,):
-        default, ceiling, runner = _CLAIM_TABLE[name]
-        n = lim = None
-        if default is not None:
-            n = default if max_n is None else max_n
-            lim = ceiling if limit is None else limit
-            if cap is not None:
-                n = min(n, cap)
-            if claim == "all":
-                n = min(n, lim)
-        options = SimpleNamespace(
-            n=n, limit=lim, workers=workers, seed=seed, trials=trials, random_trials=random_trials
-        )
+        ceiling, runner = _CLAIM_TABLE[name]
+        range_ = {}
+        if max_n is not None and ceiling is not None:
+            range_["max_n"] = min(max_n, ceiling) if claim == "all" else max_n
+        options = SimpleNamespace(range=range_, workers=workers, seed=seed, trials=trials, random_trials=random_trials)
         reports += runner(options)
     return reports

@@ -169,7 +169,7 @@ def test_criterion_9_cli_round_trips_and_verify_all(capsys, tmp_path):
 
 def test_criterion_10_turan_bound_exhaustive_n8():
     t0 = time.perf_counter()
-    report = verify_turan_bound(8, workers=1, limit=8)
+    report = verify_turan_bound(8, workers=1)
     elapsed = time.perf_counter() - t0
     assert report.violations == []
     assert report.checked == sum(1 << comb(n, 2) for n in range(1, 9)) == 270_566_475
@@ -182,7 +182,7 @@ def test_criterion_10_turan_bound_exhaustive_n8():
 
 def test_criterion_11_implications_and_oracle_agreement_exhaustive_n6():
     t0 = time.perf_counter()
-    report = verify_implications(6, random_trials=0, workers=2, limit=6)
+    report = verify_implications(6, random_trials=0, workers=2)
     elapsed = time.perf_counter() - t0
     assert report.violations == []
     assert report.checked == sum(1 << comb(n, 2) for n in range(1, 7)) == 33_867
@@ -196,9 +196,9 @@ def test_criterion_11_implications_and_oracle_agreement_exhaustive_n6():
 
 def test_criterion_12_reach_kernel_claims_exhaustive_n7():
     t0 = time.perf_counter()
-    equiv = verify_equivalence_transitive(7, workers=1, limit=7)
-    closure = verify_closure(7, workers=1, limit=7)
-    separations = find_separations(7, workers=1, limit=7)
+    equiv = verify_equivalence_transitive(7, workers=1)
+    closure = verify_closure(7, workers=1)
+    separations = find_separations(7, workers=1)
     elapsed = time.perf_counter() - t0
     total = sum(1 << comb(n, 2) for n in range(1, 8))
     assert equiv.violations == [] and closure.violations == [] and separations.violations == []
@@ -218,7 +218,7 @@ def test_criterion_12_reach_kernel_claims_exhaustive_n7():
 
 def test_criterion_13_theorem_bound_exhaustive_n8():
     t0 = time.perf_counter()
-    reports = [verify_theorem_bound(8, klass, workers=1, limit=8) for klass in ("extremely", "strongly", "reduced")]
+    reports = [verify_theorem_bound(8, klass, workers=1) for klass in ("extremely", "strongly", "reduced")]
     elapsed = time.perf_counter() - t0
     for report in reports:
         assert report.violations == []

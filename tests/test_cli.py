@@ -192,12 +192,11 @@ class TestVerify:
         assert code == 2
         assert "ceiling" in err
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DAGX_MAX_N", "3")
-        code, out, err = run(capsys, "verify", "turan", "--max-n", "5")
-        assert code == 0
-        assert json.loads(out)["checked"] == 1 + 2 + 8
-        assert "DAGX_MAX_N" in err
+    def test_no_ceiling_override(self, capsys):
+        # --max-n is the only range option; a ceiling is raised in code.
+        code, out, err = run(capsys, "verify", "turan", "--limit", "9")
+        assert code == 2
+        assert out == "" and "--limit" in err and "internal error" not in err
 
     def test_workers_flag_same_report(self, capsys):
         _, out1, _ = run(capsys, "verify", "turan", "--max-n", "4")
@@ -259,12 +258,6 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "boxes", "--trials", "-5")
         assert code == 2
         assert out == "" and "trials" in err
-
-    def test_non_integer_env_cap_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("DAGX_MAX_N", "abc")
-        code, _, err = run(capsys, "verify", "turan")
-        assert code == 2
-        assert "DAGX_MAX_N" in err and "internal error" not in err
 
     def test_oversized_header_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.txt"

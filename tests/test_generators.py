@@ -183,7 +183,6 @@ class TestEnumerateDags:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             next(enumerate_dags(9))
-        next(enumerate_dags(9, max_vertices=9))
 
     def test_partitioning(self):
         full = [g.edges for g in enumerate_dags(4)]

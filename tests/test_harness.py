@@ -1,3 +1,4 @@
+import inspect
 import json
 from concurrent.futures import Future
 from math import comb
@@ -28,7 +29,7 @@ from dagx.bounds import turan_graph_edges
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
-from dagx.harness import CHORDED_CHAIN_EDGES, _clique_edge_masks, _cover_within
+from dagx.harness import CHORDED_CHAIN_EDGES, _clique_edge_masks, _cover_within, _pair_bits
 from dagx.kernels import _BLOCK, _blocks, _levels_chunk
 
 from conftest import CHORDED_CHAIN
@@ -289,7 +290,7 @@ class TestCliqueBound:
     def test_detects_a_wrong_bound(self):
         # Sanity-check the search itself: 11 deletions cannot hit all
         # triangles of the 8-clique, but 12 can.
-        triangles = _clique_edge_masks(8, 3)
+        triangles = _clique_edge_masks(8, 3, _pair_bits(8))
         assert not _cover_within(triangles, 11)
         assert _cover_within(triangles, 12)
 
@@ -300,7 +301,7 @@ class TestCliqueBound:
         for n in range(2, 7):
             pairs = comb(n, 2)
             for k in range(1, n + 1):
-                cliques = _clique_edge_masks(n, k + 1)
+                cliques = _clique_edge_masks(n, k + 1, _pair_bits(n))
                 free = [s for s in range(1 << pairs) if not any(cm & ~s == 0 for cm in cliques)]
                 assert max(bin(s).count("1") for s in free) == turan_graph_edges(n, k), (n, k)
                 sizes = {bin(d).count("1") for d in range(1 << pairs) if all(cm & d for cm in cliques)}
@@ -312,7 +313,8 @@ class TestCliqueBound:
         # every (k + 1)-clique, so a prune that cuts a live branch fails here.
         for n in range(2, 10):
             for k in range(1, n + 1):
-                assert _cover_within(_clique_edge_masks(n, k + 1), comb(n, 2) - turan_graph_edges(n, k)), (n, k)
+                cliques = _clique_edge_masks(n, k + 1, _pair_bits(n))
+                assert _cover_within(cliques, comb(n, 2) - turan_graph_edges(n, k)), (n, k)
 
     def test_range_checked(self):
         with pytest.raises(InvalidParamsError):
@@ -380,6 +382,20 @@ class TestWorkers:
             run(workers)
 
 
+# The claims with an enumeration range, in table order, and the functions
+# their runners call (theorem calls its function once per class).
+RANGED_CLAIMS = ("turan", "theorem", "implications", "equiv-transitive", "closure", "separations", "clique")
+RANGED_RUNNERS = (
+    "verify_turan_bound",
+    "verify_theorem_bound",
+    "verify_implications",
+    "verify_equivalence_transitive",
+    "verify_closure",
+    "find_separations",
+    "verify_clique_bound",
+)
+
+
 class TestVerifyClaim:
     def test_unknown(self):
         with pytest.raises(UnknownClaimError):
@@ -406,8 +422,8 @@ class TestVerifyClaim:
             verify_claim("clique", max_n=11)
 
     def test_reach_claims_ceiling(self):
-        # The kernel claims run through n = 8 without --limit; separations
-        # stops at n = 5, once both witnesses are found.
+        # The kernel claims run through n = 8; separations stops at n = 5,
+        # once both witnesses are found.
         (report,) = verify_claim("separations", max_n=8)
         assert report.ok and report.params["max_n"] == 8
         for claim in ("equiv-transitive", "closure", "separations"):
@@ -416,9 +432,32 @@ class TestVerifyClaim:
         with pytest.raises(LimitExceededError):
             verify_claim("implications", max_n=7)
 
-    def test_limit_propagates(self):
-        with pytest.raises(LimitExceededError):
-            verify_claim("closure", max_n=5, limit=4)
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Stand-ins for the ranged verify_* functions: each records the
+        max_n it was passed (None when none) and reports the max_n it
+        binds, without running a sweep."""
+        calls = []
+        for name in RANGED_RUNNERS:
+            real = getattr(harness, name)
+
+            def fake(*args, _real=real, **kwargs):
+                bound = inspect.signature(_real).bind(*args, **kwargs)
+                calls.append(bound.arguments.get("max_n"))
+                bound.apply_defaults()
+                return VerificationReport(_real.__name__, "", 0, params={"max_n": bound.arguments["max_n"]})
+
+            monkeypatch.setattr(harness, name, fake)
+        return calls
+
+    def test_default_ranges_come_from_the_signatures(self, recorded):
+        reports = [r for claim in RANGED_CLAIMS for r in verify_claim(claim)]
+        assert recorded == [None] * 9
+        assert [r.params["max_n"] for r in reports] == [7, 6, 6, 6, 5, 6, 6, 6, 8]
+
+    def test_all_clamps_a_given_range_to_each_ceiling(self, recorded):
+        verify_claim("all", max_n=9, trials=0)
+        assert recorded == [8, 8, 8, 8, 6, 8, 8, 8, 9]
 
 
 class TestPool:
