@@ -12,12 +12,21 @@ inside R''s while R''s vertical interval nests strictly inside R's;
 "strict" means both endpoints separated, which makes the nesting relation
 a strict partial order and the graph acyclic (horizontal width grows
 along every edge).
+
+The family-wide checks (:func:`directed_intersection_graph` and
+:func:`is_transverse_family`) scale every coordinate of a family to an
+integer over the family's common denominator and compare those
+integers, which orders the coordinates exactly as their rationals do.
+The pair predicates (:func:`intervals_strictly_nested`,
+:func:`boxes_intersect`, :func:`is_transverse_pair`) compare the
+rationals themselves and serve as the literal reference.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -40,6 +49,8 @@ def _exponent_too_large(text: str) -> bool:
 
 
 def _coord(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("box coordinates must be exact: pass int, str, or Fraction")
     if isinstance(value, str) and _exponent_too_large(value):
@@ -124,60 +135,101 @@ def is_transverse_pair(r: Box, s: Box) -> bool:
     )
 
 
+# Scaled rows hold one integer of about the common denominator's size per
+# coordinate; past this many bits in all, the rationals are compared as they
+# are, which is exact too and keeps a family of large coprime denominators
+# from growing quadratically in memory.
+_MAX_SCALED_BITS = 1 << 24
+
+
+def _integer_rows(family: BoxFamily) -> list[tuple]:
+    """Each box as (ix_lo, ix_hi, jy_lo, jy_hi), scaled to integers over the family's common denominator.
+
+    Multiplying every coordinate by the same positive integer keeps every
+    comparison between coordinates, equalities included, so checks on
+    these rows are exact. Beyond ``_MAX_SCALED_BITS`` the rows hold the
+    Fractions themselves.
+    """
+    rows = [(b.ix.lo, b.ix.hi, b.jy.lo, b.jy.hi) for b in family.boxes]
+    ratios = [c.as_integer_ratio() for row in rows for c in row]
+    dens = {d for _, d in ratios}
+    # The product of the distinct denominators bounds their lcm.
+    if sum(map(int.bit_length, dens)) * len(ratios) > _MAX_SCALED_BITS:
+        return rows
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    flat = [n * scale[d] for n, d in ratios]
+    return list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+
+
+def _nests(r: tuple, s: tuple) -> bool:
+    """On rows of :func:`_integer_rows`: r's horizontal interval strictly
+    inside s's and s's vertical interval strictly inside r's."""
+    return s[0] < r[0] and r[1] < s[1] and r[2] < s[2] and s[3] < r[3]
+
+
 def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]]:
-    """Check that every pair is disjoint or transverse; report offenders."""
+    """Check that every pair is disjoint or transverse; report offenders.
+
+    Offenders are listed in family order (i < j, by i then j). A
+    transverse pair is an edge of the directed intersection graph in one
+    direction, and nested intervals always overlap, so a pair offends iff
+    the boxes intersect and neither nests in the other.
+    """
     offenders = []
-    entries = family.entries
-    for i in range(len(entries)):
-        id_i, box_i = entries[i]
-        for j in range(i + 1, len(entries)):
-            id_j, box_j = entries[j]
-            if boxes_intersect(box_i, box_j) and not is_transverse_pair(box_i, box_j):
-                offenders.append((id_i, id_j))
+    ids = family.ids
+    rows = _integer_rows(family)
+    for i, r in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            s = rows[j]
+            if r[0] <= s[1] and s[0] <= r[1] and r[2] <= s[3] and s[2] <= r[3] and not (_nests(r, s) or _nests(s, r)):
+                offenders.append((ids[i], ids[j]))
     return not offenders, offenders
 
 
 def directed_intersection_graph(family: BoxFamily) -> Dag:
     """Vertex per box (in family order); edge i -> j per transverse nesting."""
-    boxes = family.boxes
-    n = len(boxes)
+    n = len(family)
     if n == 0:
         raise InvalidParamsError("family must contain at least one box")
-    edges = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if intervals_strictly_nested(boxes[i].ix, boxes[j].ix) and intervals_strictly_nested(
-                boxes[j].jy, boxes[i].jy
-            ):
-                edges.add((i, j))
+    rows = _integer_rows(family)
+    edges = [(i, j) for i, r in enumerate(rows) for j, s in enumerate(rows) if i != j and _nests(r, s)]
     return Dag(n, edges)
 
 
-def _layered_boxes(columns: int, frames: int, slats: int, jitter: Callable[..., Fraction]) -> list[tuple[str, Box]]:
+# Every coordinate of the layered families is a multiple of 1/_GRID.
+_GRID = 320
+
+
+def _layered_boxes(columns: int, frames: int, slats: int, jitter: Callable[..., int]) -> list[tuple[str, Box]]:
     """Columns x_i, frames y_j and slats z_k of :func:`extremal_box_family`, each coordinate plus a jitter.
 
-    ``jitter(lo, hi, den=16)`` is called once per coordinate, in the order
+    ``jitter(lo, hi, den=16)`` returns an integer numerator over ``den``
+    (a divisor of _GRID) and is called once per coordinate, in the order
     ix_lo, ix_hi, jy_lo, jy_hi for columns and frames and jy_lo, jy_hi,
-    ix_lo, ix_hi for slats.
+    ix_lo, ix_hi for slats. Each coordinate is built as one Fraction over
+    _GRID from its base, given in units of 1/_GRID.
     """
+
+    def at(base: int, lo: int, hi: int, den: int = 16) -> Fraction:
+        return Fraction(base + jitter(lo, hi, den) * (_GRID // den), _GRID)
+
     entries = []
     for i in range(1, columns + 1):
-        x = box(2 * i + jitter(-9, 0), 2 * i + 1 + jitter(0, 9), -10 + jitter(-5, 5), 10 + jitter(-5, 5))
+        x = box(at(2 * i * _GRID, -9, 0), at((2 * i + 1) * _GRID, 0, 9), at(-10 * _GRID, -5, 5), at(10 * _GRID, -5, 5))
         entries.append((f"x{i}", x))
     for j in range(1, frames + 1):
         y = box(
-            -(20 + j) + jitter(-12, 12),
-            20 + j + jitter(-12, 12),
-            -(10 - j) + jitter(-12, 12),
-            10 - j + jitter(-12, 12),
+            at(-(20 + j) * _GRID, -12, 12),
+            at((20 + j) * _GRID, -12, 12),
+            at(-(10 - j) * _GRID, -12, 12),
+            at((10 - j) * _GRID, -12, 12),
         )
         entries.append((f"y{j}", y))
     for k in range(1, slats + 1):
-        lo = Fraction(k, 10) + jitter(-3, 3, 320)
-        hi = Fraction(k, 10) + Fraction(1, 20) + jitter(-3, 3, 320)
-        entries.append((f"z{k}", box(-40 + jitter(-9, 9), 40 + jitter(-9, 9), lo, hi)))
+        lo = at(k * _GRID // 10, -3, 3, _GRID)
+        hi = at(k * _GRID // 10 + _GRID // 20, -3, 3, _GRID)
+        entries.append((f"z{k}", box(at(-40 * _GRID, -9, 9), at(40 * _GRID, -9, 9), lo, hi)))
     return entries
 
 
@@ -202,7 +254,7 @@ def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
             f"spec {spec} exceeds the default coordinate scale "
             f"(need r <= 9, l <= 10, s/10 + 1/20 < 11 - l)"
         )
-    return BoxFamily(tuple(_layered_boxes(r, l - 1, s, lambda *_: Fraction(0))))
+    return BoxFamily(tuple(_layered_boxes(r, l - 1, s, lambda *_: 0)))
 
 
 def random_box_family(count: int, seed) -> BoxFamily:
@@ -212,11 +264,10 @@ def random_box_family(count: int, seed) -> BoxFamily:
     rng = _rng(seed)
     entries = []
     for i in range(count):
-        x0 = Fraction(int(rng.integers(-40, 40)), 2)
-        y0 = Fraction(int(rng.integers(-40, 40)), 2)
-        w = Fraction(int(rng.integers(1, 40)), 2)
-        h = Fraction(int(rng.integers(1, 40)), 2)
-        entries.append((f"b{i}", Box(Interval(x0, x0 + w), Interval(y0, y0 + h))))
+        # Half-grid numerators, drawn in the order x0, y0, width, height.
+        x0, y0, w, h = (int(rng.integers(lo, 40)) for lo in (-40, -40, 1, 1))
+        ix = Interval(Fraction(x0, 2), Fraction(x0 + w, 2))
+        entries.append((f"b{i}", Box(ix, Interval(Fraction(y0, 2), Fraction(y0 + h, 2)))))
     return BoxFamily(tuple(entries))
 
 
@@ -231,8 +282,8 @@ def random_transverse_family(seed) -> BoxFamily:
     """
     rng = _rng(seed)
 
-    def jitter(lo: int, hi: int, den: int = 16) -> Fraction:
-        return Fraction(int(rng.integers(lo, hi + 1)), den)
+    def jitter(lo: int, hi: int, den: int = 16) -> int:
+        return int(rng.integers(lo, hi + 1))
 
     for _ in range(16):
         r = int(rng.integers(0, 5))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / claim verified, 1 internal error, 2 input error,
 3 validation failure. ``verify --max-n`` sets a claim's range; a range
-beyond the claim's ceiling is an input error.
+beyond the claim's ceiling, or an option the claim does not read, is an
+input error.
 """
 
 from __future__ import annotations
@@ -159,10 +160,16 @@ def boxes_graph(path: str, require_transverse: bool) -> int:
 @click.option("--max-n", type=int, default=None, help="enumeration range (claim default if omitted)")
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--trials", type=int, default=1000, show_default=True, help="random box families")
-@click.option("--rand-trials", type=int, default=1000, show_default=True, help="random DAGs for oracle agreement")
-def verify(claim: str, max_n: int | None, workers: int, seed: int, trials: int, rand_trials: int) -> int:
-    """Re-check a claim over its range; JSON report on stdout, exit 0 iff clean."""
+@click.option("--trials", type=int, default=None, help="random box families, boxes only  [default: 1000]")
+@click.option(
+    "--rand-trials", type=int, default=None, help="random DAGs for oracle agreement, implications only  [default: 1000]"
+)
+def verify(claim: str, max_n: int | None, workers: int, seed: int, trials: int | None, rand_trials: int | None) -> int:
+    """Re-check a claim over its range; JSON report on stdout, exit 0 iff clean.
+
+    A single claim refuses --max-n, --trials or --rand-trials when it does
+    not read that option; "all" passes each claim the ones it reads.
+    """
     reports = verify_claim(claim, max_n=max_n, workers=workers, seed=seed, trials=trials, random_trials=rand_trials)
     payload = [r.to_dict() for r in reports]
     click.echo(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))

@@ -754,25 +754,33 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
 # ---------------------------------------------------------------------------
 # Front door.
 
-# claim -> (ceiling, runner); a runner maps the resolved options to the
-# claim's reports. ``o.range`` holds max_n only when the caller gave one,
-# so each default range is stated once, in its verify_* signature. boxes
+# claim -> (ceiling, reads, runner). ``reads`` names the keyword options the
+# claim takes besides workers and seed; a runner maps the resolved options
+# to the claim's reports. ``o.given`` holds only the options the caller
+# gave, so each default is stated once, in its verify_* signature. boxes
 # has no enumeration range.
-_CLAIM_TABLE: dict[str, tuple[int | None, Callable[[SimpleNamespace], list[VerificationReport]]]] = {
-    "turan": (MAX_ENUM_VERTICES, lambda o: [verify_turan_bound(**o.range, workers=o.workers)]),
+_RANGE = ("max_n",)
+_CLAIM_TABLE: dict[str, tuple[int | None, tuple[str, ...], Callable[[SimpleNamespace], list[VerificationReport]]]] = {
+    "turan": (MAX_ENUM_VERTICES, _RANGE, lambda o: [verify_turan_bound(**o.given, workers=o.workers)]),
     "theorem": (
         MAX_ENUM_VERTICES,
-        lambda o: [verify_theorem_bound(**o.range, klass=k, workers=o.workers) for k in _CLASS_PREDICATES],
+        _RANGE,
+        lambda o: [verify_theorem_bound(**o.given, klass=k, workers=o.workers) for k in _CLASS_PREDICATES],
     ),
     "implications": (
         MAX_PREDICATE_VERTICES,
-        lambda o: [verify_implications(**o.range, random_trials=o.random_trials, seed=o.seed, workers=o.workers)],
+        ("max_n", "random_trials"),
+        lambda o: [verify_implications(**o.given, seed=o.seed, workers=o.workers)],
     ),
-    "equiv-transitive": (MAX_ENUM_VERTICES, lambda o: [verify_equivalence_transitive(**o.range, workers=o.workers)]),
-    "closure": (MAX_ENUM_VERTICES, lambda o: [verify_closure(**o.range, workers=o.workers)]),
-    "separations": (MAX_ENUM_VERTICES, lambda o: [find_separations(**o.range, workers=o.workers)]),
-    "boxes": (None, lambda o: [verify_box_props(o.trials, o.seed, workers=o.workers)]),
-    "clique": (MAX_CLIQUE_VERTICES, lambda o: [verify_clique_bound(**o.range)]),
+    "equiv-transitive": (
+        MAX_ENUM_VERTICES,
+        _RANGE,
+        lambda o: [verify_equivalence_transitive(**o.given, workers=o.workers)],
+    ),
+    "closure": (MAX_ENUM_VERTICES, _RANGE, lambda o: [verify_closure(**o.given, workers=o.workers)]),
+    "separations": (MAX_ENUM_VERTICES, _RANGE, lambda o: [find_separations(**o.given, workers=o.workers)]),
+    "boxes": (None, ("trials",), lambda o: [verify_box_props(**o.given, seed=o.seed, workers=o.workers)]),
+    "clique": (MAX_CLIQUE_VERTICES, _RANGE, lambda o: [verify_clique_bound(**o.given)]),
 }
 
 CLAIMS = (*_CLAIM_TABLE, "all")
@@ -784,24 +792,30 @@ def verify_claim(
     max_n: int | None = None,
     workers: int = 1,
     seed: int = DEFAULT_SEED,
-    trials: int = 1000,
-    random_trials: int = 1000,
+    trials: int | None = None,
+    random_trials: int | None = None,
 ) -> list[VerificationReport]:
     """Run one named claim (or ``all``); returns one report per sub-check.
 
-    Without ``max_n`` each claim runs at its default range. Under ``all``,
-    a given max_n is clamped to each claim's own ceiling instead of
-    erroring.
+    An option left as None takes the claim's default: its range, 1000
+    box trials, 1000 random DAGs. A single claim refuses an option it
+    does not read (``max_n`` for boxes, ``trials`` for all but boxes,
+    ``random_trials`` for all but implications). Under ``all`` each claim
+    takes the options it reads, and a given max_n is clamped to each
+    claim's own ceiling instead of erroring.
     """
     if claim not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
     _require_workers(workers)
+    given = {k: v for k, v in (("max_n", max_n), ("trials", trials), ("random_trials", random_trials)) if v is not None}
     reports: list[VerificationReport] = []
     for name in _CLAIM_TABLE if claim == "all" else (claim,):
-        ceiling, runner = _CLAIM_TABLE[name]
-        range_ = {}
-        if max_n is not None and ceiling is not None:
-            range_["max_n"] = min(max_n, ceiling) if claim == "all" else max_n
-        options = SimpleNamespace(range=range_, workers=workers, seed=seed, trials=trials, random_trials=random_trials)
-        reports += runner(options)
+        ceiling, reads, runner = _CLAIM_TABLE[name]
+        unread = [k for k in given if k not in reads]
+        if unread and claim != "all":
+            raise InvalidParamsError(f"{claim} does not take {', '.join(unread)}; it reads {', '.join(reads)}")
+        options = {k: v for k, v in given.items() if k in reads}
+        if "max_n" in options and claim == "all":
+            options["max_n"] = min(max_n, ceiling)
+        reports += runner(SimpleNamespace(given=options, workers=workers, seed=seed))
     return reports

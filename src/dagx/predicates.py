@@ -245,24 +245,30 @@ def is_strongly_reduced_bruteforce(
     """Oracle for :func:`is_strongly_reduced`: quantify over everything.
 
     Every topological order x every pair of joining paths; the ordered
-    union must be a directed path each time. The orders are listed once
-    the first pair with two joining paths is met; a graph without one
-    passes whatever its number of orders.
+    union must be a directed path each time. Whether it is depends only
+    on the order and on the union's vertex set, so for each (v, w) the
+    pairs of :func:`path_vertex_masks` are folded into their distinct
+    unions first; every order is then checked against every union, which
+    covers every order and every pair. The orders are listed once the
+    first pair with two joining paths is met; a graph without one passes
+    whatever its number of orders.
     """
     orders = None
     rf = reach_from_masks(g)
+    succ = g.succ_masks
     for v in range(g.n):
         for w in bits(rf[v]):
-            paths = enumerate_paths(g, v, w, path_cap)
-            k = len(paths)
+            masks = path_vertex_masks(g, v, w, path_cap)
+            k = len(masks)
             if k < 2:
                 continue
             if orders is None:
                 orders = all_topological_orders(g, order_cap)
+            unions = {masks[i] | masks[j] for i in range(k) for j in range(i + 1, k)}
             for order in orders:
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        u = ordered_union(paths[i], paths[j], order)
-                        if not is_sequence_path(g, u):
+                for u in unions:
+                    seq = [x for x in order if u >> x & 1]
+                    for a, b in zip(seq, seq[1:]):
+                        if not succ[a] >> b & 1:
                             return False
     return True

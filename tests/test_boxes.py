@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from dagx import (
     random_transverse_family,
     reachability,
 )
+from dagx import boxes as boxes_module
 
 CSV_HEAD = "id,ix_lo,ix_hi,jy_lo,jy_hi\n"
 
@@ -141,6 +143,99 @@ class TestDirectedIntersectionGraph:
                     assert boxes_intersect(fam.boxes[i], fam.boxes[j])
 
 
+# Coordinates of every kind a family may hold: integers, the half grid, the
+# 1/320 grid of the layered families, decimal strings, and large primes as
+# denominators. Several spell the same value, so families drawn from the
+# pool share and touch endpoints.
+_PRIMES = (1_000_000_007, 998_244_353, 2**61 - 1, 2**89 - 1)
+COORD_POOL = (
+    [k for k in range(-3, 4)]
+    + [Fraction(k, 2) for k in range(-5, 6, 2)]
+    + [Fraction(k, 320) for k in (-481, -160, 1, 320, 479, 640)]
+    + ["-1.5", "0.25", "1.0", "2.75", "0.05"]
+    + [Fraction(k * p + d, p) for p in _PRIMES for k, d in ((0, 1), (1, -1), (-2, 3))]
+)
+
+
+def mixed_family(rng: random.Random) -> BoxFamily:
+    pool = rng.sample(COORD_POOL, 10)
+    entries = []
+    for i in range(rng.randint(2, 10)):
+        ix, jy = (sorted(rng.sample(pool, 2), key=Fraction) for _ in range(2))
+        if Fraction(ix[0]) == Fraction(ix[1]) or Fraction(jy[0]) == Fraction(jy[1]):
+            continue
+        entries.append((f"b{i}", box(*ix, *jy)))
+    return BoxFamily(tuple(entries) or (("b", box(0, 1, 0, 1)),))
+
+
+def literal_edges(family: BoxFamily) -> set:
+    bs = family.boxes
+    return {
+        (i, j)
+        for i in range(len(bs))
+        for j in range(len(bs))
+        if i != j and intervals_strictly_nested(bs[i].ix, bs[j].ix) and intervals_strictly_nested(bs[j].jy, bs[i].jy)
+    }
+
+
+def literal_offenders(family: BoxFamily) -> list:
+    es = family.entries
+    return [
+        (a, c)
+        for i, (a, r) in enumerate(es)
+        for c, s in es[i + 1 :]
+        if boxes_intersect(r, s) and not is_transverse_pair(r, s)
+    ]
+
+
+class TestIntegerKernel:
+    """The family checks compare scaled integers; the pair predicates compare Fractions."""
+
+    @pytest.mark.parametrize("scaled", [True, False], ids=["integers", "fractions"])
+    def test_matches_the_pair_predicates(self, monkeypatch, scaled):
+        if not scaled:
+            monkeypatch.setattr(boxes_module, "_MAX_SCALED_BITS", 0)
+        rng = random.Random(20160)
+        families = [mixed_family(rng) for _ in range(300)]
+        families += [random_box_family(12, seed) for seed in range(50)]
+        families += [random_transverse_family(seed) for seed in range(50)]
+        for fam in families:
+            rows = boxes_module._integer_rows(fam)
+            assert all(type(c) is (int if scaled else Fraction) for row in rows for c in row)
+            assert directed_intersection_graph(fam).edges == literal_edges(fam)
+            offenders = literal_offenders(fam)
+            assert is_transverse_family(fam) == (not offenders, offenders)
+
+    def test_pool_covers_shared_and_touching_endpoints(self):
+        rng = random.Random(20160)
+        shared = touching = offending = 0
+        for _ in range(300):
+            fam = mixed_family(rng)
+            for r in fam.boxes:
+                for s in fam.boxes:
+                    if r is not s:
+                        shared += r.ix.lo == s.ix.lo or r.jy.hi == s.jy.hi
+                        touching += r.ix.hi == s.ix.lo or r.jy.hi == s.jy.lo
+            offending += bool(literal_offenders(fam))
+        assert shared and touching and offending
+
+    def test_large_coprime_denominators_stay_fractions(self):
+        # Mersenne numbers 2^p - 1 of distinct primes p are pairwise coprime:
+        # over their common denominator every coordinate would take about
+        # 110k bits, so the rows keep the Fractions.
+        primes = [p for p in range(2, 1300) if all(p % d for d in range(2, p))][:200]
+        rng = random.Random(7)
+        entries = []
+        for i in range(100):
+            x, y = (rng.randint(-4, 4) + Fraction(1, 2 ** primes[2 * i + k] - 1) for k in (0, 1))
+            entries.append((f"b{i}", box(x, x + rng.randint(1, 6), y, y + rng.randint(1, 6))))
+        fam = BoxFamily(tuple(entries))
+        assert all(type(c) is Fraction for row in boxes_module._integer_rows(fam) for c in row)
+        assert directed_intersection_graph(fam).edges == literal_edges(fam)
+        offenders = literal_offenders(fam)
+        assert is_transverse_family(fam) == (not offenders, offenders)
+
+
 class TestExtremalBoxFamily:
     def test_triangle(self):
         fam = extremal_box_family(ExtremalSpec(1, 2, 1))
@@ -217,6 +312,32 @@ z2,-633/16,639/16,67/320,83/320
     @pytest.mark.parametrize("seed", sorted(PINNED))
     def test_seeded_draws_pinned(self, seed):
         assert format_box_csv(random_transverse_family(seed)) == self.PINNED[seed]
+
+    # Written out from the code before random_box_family built its
+    # endpoints on the half grid directly; the draws and their order must
+    # not change.
+    PINNED_GENERAL = {
+        42: """id,ix_lo,ix_hi,jy_lo,jy_hi
+b0,-33/2,-7/2,21/2,39/2
+b1,-3,-1,14,28
+b2,-12,-3/2,-33/2,3
+b3,9,23,10,51/2
+b4,1/2,17,-15,-6
+b5,0,4,-11/2,13
+""",
+        7: """id,ix_lo,ix_hi,jy_lo,jy_hi
+b0,35/2,31,5,45/2
+b1,3,39/2,11,31/2
+b2,-18,-12,-8,19/2
+b3,33/2,53/2,-20,-7/2
+b4,-15,-25/2,23/2,21
+b5,25/2,39/2,-8,-5/2
+""",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_GENERAL))
+    def test_general_draws_pinned(self, seed):
+        assert format_box_csv(random_box_family(6, seed)) == self.PINNED_GENERAL[seed]
 
     def test_transverse_generator_validates(self):
         for seed in range(60):

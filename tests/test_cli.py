@@ -259,6 +259,27 @@ class TestVerify:
         assert code == 2
         assert out == "" and "trials" in err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("boxes", "--max-n", "3"), "max_n"),
+            (("turan", "--trials", "5"), "trials"),
+            (("closure", "--max-n", "3", "--rand-trials", "5"), "random_trials"),
+        ],
+        ids=["boxes-max-n", "turan-trials", "closure-rand-trials"],
+    )
+    def test_option_the_claim_does_not_read_exit_2(self, capsys, argv, option):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == "" and option in err and "internal error" not in err
+
+    def test_all_takes_every_option(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--max-n", "4", "--trials", "5")
+        assert code == 0
+        reports = {r["claim"]: r for r in json.loads(out)}
+        assert reports["box-properties"]["params"]["trials"] == 5
+        assert reports["turan-bound"]["params"]["max_n"] == 4
+
     def test_oversized_header_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text(f"n {MAX_EDGE_LIST_VERTICES + 1}\n0 1\n")

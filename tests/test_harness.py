@@ -415,6 +415,14 @@ class TestVerifyClaim:
         assert all(r.ok for r in reports)
         assert reports[-1].claim == "clique-free-maximum" and reports[-1].params["max_n"] == 3
 
+    @pytest.mark.parametrize(
+        "claim, option",
+        [("boxes", "max_n"), ("turan", "trials"), ("boxes", "random_trials"), ("implications", "trials")],
+    )
+    def test_single_claim_refuses_an_option_it_does_not_read(self, claim, option):
+        with pytest.raises(InvalidParamsError, match=f"does not take {option}"):
+            verify_claim(claim, **{option: 3})
+
     def test_clique_default_and_ceiling(self):
         (report,) = verify_claim("clique")
         assert report.ok and report.params["max_n"] == 8

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dagx.predicates as predicates
 from dagx import (
     CapExceededError,
     Dag,
@@ -23,6 +27,7 @@ from dagx import (
     reachability,
     transitive_closure,
 )
+from dagx.generators import dag_count, dag_from_index
 from dagx.predicates import path_vertex_masks
 
 from conftest import chain, forward_dags
@@ -261,6 +266,63 @@ class TestCrossingRule:
                     for a, c in g.edges
                 )
                 assert is_strongly_reduced(g) == (is_reduced(g) and not crossing)
+
+
+def literal_strongly_reduced(g: Dag) -> bool:
+    """The definition as written: every topological order x every pair of
+    joining paths, each ordered union checked to be a directed path."""
+    orders = None
+    for v in range(g.n):
+        for w in range(g.n):
+            paths = enumerate_paths(g, v, w)
+            if len(paths) < 2:
+                continue
+            if orders is None:
+                orders = all_topological_orders(g)
+            for order in orders:
+                for p, q in combinations(paths, 2):
+                    if not is_sequence_path(g, ordered_union(p, q, order)):
+                        return False
+    return True
+
+
+class TestStronglyReducedOracle:
+    """is_strongly_reduced_bruteforce folds each (v, w)'s path pairs into
+    their distinct unions; it must agree with the literal loop."""
+
+    def test_every_dag_up_to_5(self):
+        for n in range(1, 6):
+            for g in enumerate_dags(n):
+                assert is_strongly_reduced_bruteforce(g) == literal_strongly_reduced(g), sorted(g.edges)
+
+    def test_seeded_random_dags_up_to_8(self):
+        rng = random.Random(2016)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(6, 8)
+            g = dag_from_index(n, rng.randrange(dag_count(n)))
+            verdicts.append(is_strongly_reduced_bruteforce(g))
+            assert verdicts[-1] == literal_strongly_reduced(g), (n, sorted(g.edges))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_every_listed_order_is_checked(self, monkeypatch):
+        # A union that is a path under one topological order is a path under
+        # all of them (its edges fix the order of its vertices), so verdicts
+        # cannot show whether the oracle looks past the first order. A
+        # reversed order listed after the real one can.
+        real = predicates.all_topological_orders
+        monkeypatch.setattr(predicates, "all_topological_orders", lambda g, cap: real(g, cap) + [real(g, cap)[0][::-1]])
+        triangle = Dag(3, [(0, 1), (1, 2), (0, 2)])
+        assert not is_strongly_reduced_bruteforce(triangle)
+        monkeypatch.undo()
+        assert is_strongly_reduced_bruteforce(triangle)
+
+    def test_caps(self, diamond):
+        with pytest.raises(CapExceededError):
+            is_strongly_reduced_bruteforce(diamond, path_cap=1)
+        with pytest.raises(CapExceededError):
+            is_strongly_reduced_bruteforce(diamond, order_cap=1)
+        assert not is_strongly_reduced_bruteforce(diamond, order_cap=2, path_cap=2)
 
 
 class TestOracleAgreement:
