@@ -1,9 +1,9 @@
 """Command-line front end: analyze, closure, gen, boxes-graph, verify.
 
 Exit codes: 0 success / claim verified, 1 internal error, 2 input error,
-3 validation failure. ``verify --max-n`` sets a claim's range; a range
-beyond the claim's ceiling, or an option the claim does not read, is an
-input error.
+3 validation failure. ``verify CLAIM [--max-n N] [--workers W]`` runs a
+claim at its defaults; ``--max-n`` sets its range, and a range beyond the
+claim's ceiling, or any range for ``boxes``, is an input error.
 """
 
 from __future__ import annotations
@@ -159,18 +159,13 @@ def boxes_graph(path: str, require_transverse: bool) -> int:
 @click.argument("claim", type=click.Choice(CLAIMS))
 @click.option("--max-n", type=int, default=None, help="enumeration range (claim default if omitted)")
 @click.option("--workers", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--trials", type=int, default=None, help="random box families, boxes only  [default: 1000]")
-@click.option(
-    "--rand-trials", type=int, default=None, help="random DAGs for oracle agreement, implications only  [default: 1000]"
-)
-def verify(claim: str, max_n: int | None, workers: int, seed: int, trials: int | None, rand_trials: int | None) -> int:
+def verify(claim: str, max_n: int | None, workers: int) -> int:
     """Re-check a claim over its range; JSON report on stdout, exit 0 iff clean.
 
-    A single claim refuses --max-n, --trials or --rand-trials when it does
-    not read that option; "all" passes each claim the ones it reads.
+    boxes refuses --max-n; "all" clamps it to each claim's ceiling. Every
+    claim takes --workers; clique runs in one process.
     """
-    reports = verify_claim(claim, max_n=max_n, workers=workers, seed=seed, trials=trials, random_trials=rand_trials)
+    reports = verify_claim(claim, max_n=max_n, workers=workers)
     payload = [r.to_dict() for r in reports]
     click.echo(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     for r in reports:

@@ -94,7 +94,8 @@ def turan_dag(n: int, k: int) -> Dag:
 class ExtremalSpec:
     """Parameters of the three-layer extremal graph.
 
-    r source vertices, l - 1 chained middle vertices, s sink vertices.
+    r source vertices, l - 1 chained middle vertices, s sink vertices;
+    with l = 1 there are no middles and the graph is K_{r,s}.
     """
 
     r: int
@@ -102,8 +103,8 @@ class ExtremalSpec:
     s: int
 
     def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 0 or self.l < 2:
-            raise InvalidParamsError(f"need r >= 1, l >= 2, s >= 0, got {self}")
+        if self.r < 1 or self.s < 0 or self.l < 1:
+            raise InvalidParamsError(f"need r >= 1, l >= 1, s >= 0, got {self}")
 
     @property
     def vertex_count(self) -> int:
@@ -133,12 +134,11 @@ def extremal_for(n: int, ell: int) -> Dag:
 
     Splits the n - ell + 1 non-middle vertices as evenly as possible
     between the source and sink layers, which makes the edge count hit
-    the closed-form bound exactly. Requires ell >= 2 (for ell == 1 the
-    oriented bipartite Turan graph ``turan_dag(n, 2)`` is the extremal
-    instance).
+    the closed-form bound exactly. For ell == 1 there are no middles, and
+    the graph is the oriented bipartite Turan graph ``turan_dag(n, 2)``.
     """
-    if ell < 2:
-        raise InvalidParamsError(f"need ell >= 2 (use turan_dag(n, 2) for ell == 1), got {ell}")
+    if ell < 1:
+        raise InvalidParamsError(f"need ell >= 1, got {ell}")
     if n < ell + 1:
         raise InvalidParamsError(f"need n >= ell + 1, got n={n}, ell={ell}")
     m = n - ell + 1

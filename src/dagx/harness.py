@@ -25,7 +25,6 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice, product
 from math import comb
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -319,7 +318,7 @@ def verify_theorem_bound(max_n: int = 6, klass: str = "extremely", *, workers: i
             max_edges = _max_edges(parts)
             for lv in range(1, n):
                 bound = reduced_dag_edge_bound(n, lv)
-                instance = turan_dag(n, 2) if lv == 1 else extremal_for(n, lv)
+                instance = extremal_for(n, lv)
                 inst_edges = len(instance.edges)
                 row = {
                     "n": n,
@@ -754,68 +753,44 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
 # ---------------------------------------------------------------------------
 # Front door.
 
-# claim -> (ceiling, reads, runner). ``reads`` names the keyword options the
-# claim takes besides workers and seed; a runner maps the resolved options
-# to the claim's reports. ``o.given`` holds only the options the caller
-# gave, so each default is stated once, in its verify_* signature. boxes
-# has no enumeration range.
-_RANGE = ("max_n",)
-_CLAIM_TABLE: dict[str, tuple[int | None, tuple[str, ...], Callable[[SimpleNamespace], list[VerificationReport]]]] = {
-    "turan": (MAX_ENUM_VERTICES, _RANGE, lambda o: [verify_turan_bound(**o.given, workers=o.workers)]),
+# claim -> (ceiling, runner). A runner takes the worker count and, only
+# when the caller gave one, ``max_n``, so each default (range, 1000 trials,
+# seed) is stated once, in its verify_* signature. boxes has no
+# enumeration range, and clique runs in one process.
+_CLAIM_TABLE: dict[str, tuple[int | None, Callable[..., list[VerificationReport]]]] = {
+    "turan": (MAX_ENUM_VERTICES, lambda w, **r: [verify_turan_bound(**r, workers=w)]),
     "theorem": (
         MAX_ENUM_VERTICES,
-        _RANGE,
-        lambda o: [verify_theorem_bound(**o.given, klass=k, workers=o.workers) for k in _CLASS_PREDICATES],
+        lambda w, **r: [verify_theorem_bound(**r, klass=k, workers=w) for k in _CLASS_PREDICATES],
     ),
-    "implications": (
-        MAX_PREDICATE_VERTICES,
-        ("max_n", "random_trials"),
-        lambda o: [verify_implications(**o.given, seed=o.seed, workers=o.workers)],
-    ),
-    "equiv-transitive": (
-        MAX_ENUM_VERTICES,
-        _RANGE,
-        lambda o: [verify_equivalence_transitive(**o.given, workers=o.workers)],
-    ),
-    "closure": (MAX_ENUM_VERTICES, _RANGE, lambda o: [verify_closure(**o.given, workers=o.workers)]),
-    "separations": (MAX_ENUM_VERTICES, _RANGE, lambda o: [find_separations(**o.given, workers=o.workers)]),
-    "boxes": (None, ("trials",), lambda o: [verify_box_props(**o.given, seed=o.seed, workers=o.workers)]),
-    "clique": (MAX_CLIQUE_VERTICES, _RANGE, lambda o: [verify_clique_bound(**o.given)]),
+    "implications": (MAX_PREDICATE_VERTICES, lambda w, **r: [verify_implications(**r, workers=w)]),
+    "equiv-transitive": (MAX_ENUM_VERTICES, lambda w, **r: [verify_equivalence_transitive(**r, workers=w)]),
+    "closure": (MAX_ENUM_VERTICES, lambda w, **r: [verify_closure(**r, workers=w)]),
+    "separations": (MAX_ENUM_VERTICES, lambda w, **r: [find_separations(**r, workers=w)]),
+    "boxes": (None, lambda w: [verify_box_props(workers=w)]),
+    "clique": (MAX_CLIQUE_VERTICES, lambda w, **r: [verify_clique_bound(**r)]),
 }
 
 CLAIMS = (*_CLAIM_TABLE, "all")
 
 
-def verify_claim(
-    claim: str,
-    *,
-    max_n: int | None = None,
-    workers: int = 1,
-    seed: int = DEFAULT_SEED,
-    trials: int | None = None,
-    random_trials: int | None = None,
-) -> list[VerificationReport]:
+def verify_claim(claim: str, *, max_n: int | None = None, workers: int = 1) -> list[VerificationReport]:
     """Run one named claim (or ``all``); returns one report per sub-check.
 
-    An option left as None takes the claim's default: its range, 1000
-    box trials, 1000 random DAGs. A single claim refuses an option it
-    does not read (``max_n`` for boxes, ``trials`` for all but boxes,
-    ``random_trials`` for all but implications). Under ``all`` each claim
-    takes the options it reads, and a given max_n is clamped to each
-    claim's own ceiling instead of erroring.
+    Without ``max_n`` every claim runs at the defaults of its verify_*
+    function: its range, 1000 random trials, the default seed. boxes has
+    no range and refuses a given ``max_n``; under ``all`` it runs without
+    one, and every other claim takes ``max_n`` clamped to its own ceiling
+    instead of erroring.
     """
     if claim not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
     _require_workers(workers)
-    given = {k: v for k, v in (("max_n", max_n), ("trials", trials), ("random_trials", random_trials)) if v is not None}
+    if max_n is not None and claim != "all" and _CLAIM_TABLE[claim][0] is None:
+        raise InvalidParamsError(f"{claim} does not take max_n; it has no enumeration range")
     reports: list[VerificationReport] = []
     for name in _CLAIM_TABLE if claim == "all" else (claim,):
-        ceiling, reads, runner = _CLAIM_TABLE[name]
-        unread = [k for k in given if k not in reads]
-        if unread and claim != "all":
-            raise InvalidParamsError(f"{claim} does not take {', '.join(unread)}; it reads {', '.join(reads)}")
-        options = {k: v for k, v in given.items() if k in reads}
-        if "max_n" in options and claim == "all":
-            options["max_n"] = min(max_n, ceiling)
-        reports += runner(SimpleNamespace(given=options, workers=workers, seed=seed))
+        ceiling, runner = _CLAIM_TABLE[name]
+        given = {} if max_n is None or ceiling is None else {"max_n": min(max_n, ceiling) if claim == "all" else max_n}
+        reports += runner(workers, **given)
     return reports

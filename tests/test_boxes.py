@@ -258,6 +258,16 @@ class TestExtremalBoxFamily:
                     ok, offenders = is_transverse_family(extremal_box_family(ExtremalSpec(r, l, s)))
                     assert ok, offenders
 
+    def test_ell_one_realizes_complete_bipartite(self):
+        for r in range(1, 10):
+            for s in range(12):
+                spec = ExtremalSpec(r, 1, s)
+                fam = extremal_box_family(spec)
+                ok, offenders = is_transverse_family(fam)
+                assert ok, offenders
+                g = directed_intersection_graph(fam)
+                assert g == extremal_dag(spec) and len(g.edges) == r * s
+
     def test_capacity_limits(self):
         with pytest.raises(InvalidParamsError):
             extremal_box_family(ExtremalSpec(10, 2, 1))

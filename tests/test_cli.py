@@ -17,6 +17,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_no_such_option(code, out, err, option):
+    """A click usage error for an unknown ``option``: exit 2, nothing on stdout."""
+    assert code == 2 and out == ""
+    assert "no such option" in err.lower() and option in err and "internal error" not in err
+
+
 @pytest.fixture
 def chorded_file(tmp_path):
     path = tmp_path / "chorded.txt"
@@ -130,7 +136,7 @@ class TestGen:
         parse_edge_list(out1)
 
     def test_bad_params_exit_2(self, capsys):
-        code, _, err = run(capsys, "gen", "extremal", "--n", "5", "--ell", "1")
+        code, _, err = run(capsys, "gen", "extremal", "--n", "5", "--ell", "0")
         assert code == 2
         assert "error" in err
 
@@ -226,21 +232,22 @@ class TestVerify:
 
     def test_negative_rand_trials_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "implications", "--max-n", "3", "--rand-trials", "-5")
-        assert code == 2
-        assert out == "" and "random_trials" in err
+        assert_no_such_option(code, out, err, "--rand-trials")
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("boxes", "--seed", "-1", "--trials", "2"),
-            ("implications", "--seed", "-5", "--max-n", "2", "--rand-trials", "3"),
+            ("boxes", "--seed", "-1"),
+            ("implications", "--seed", "-5", "--max-n", "2"),
+            ("turan", "--max-n", "3", "--seed", "5"),
+            ("clique", "--max-n", "3", "--seed", "-5"),
         ],
-        ids=["boxes", "implications"],
+        ids=["boxes", "implications", "turan", "clique"],
     )
     def test_negative_seed_exit_2(self, capsys, argv):
+        # verify has no --seed, so no claim can take a seed and drop it.
         code, out, err = run(capsys, "verify", *argv)
-        assert code == 2
-        assert out == "" and "seed" in err and "internal error" not in err
+        assert_no_such_option(code, out, err, "--seed")
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_exit_2(self, capsys, workers):
@@ -248,36 +255,36 @@ class TestVerify:
         assert code == 2
         assert out == "" and "workers" in err
 
-    @pytest.mark.parametrize("claim", ["clique", "boxes"])
-    def test_unsharded_claims_refuse_zero_workers(self, capsys, claim):
-        code, out, err = run(capsys, "verify", claim, "--workers", "0", "--max-n", "3", "--trials", "2")
+    @pytest.mark.parametrize("argv", [("clique", "--max-n", "3"), ("boxes",)], ids=["clique", "boxes"])
+    def test_unsharded_claims_refuse_zero_workers(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--workers", "0")
         assert code == 2
         assert out == "" and "workers" in err
 
     def test_negative_box_trials_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "boxes", "--trials", "-5")
-        assert code == 2
-        assert out == "" and "trials" in err
+        assert_no_such_option(code, out, err, "--trials")
 
     @pytest.mark.parametrize(
-        "argv, option",
+        "argv, expected",
         [
-            (("boxes", "--max-n", "3"), "max_n"),
-            (("turan", "--trials", "5"), "trials"),
-            (("closure", "--max-n", "3", "--rand-trials", "5"), "random_trials"),
+            (("boxes", "--max-n", "3"), ("does not take max_n",)),
+            (("turan", "--trials", "5"), ("no such option", "--trials")),
+            (("closure", "--max-n", "3", "--rand-trials", "5"), ("no such option", "--rand-trials")),
         ],
         ids=["boxes-max-n", "turan-trials", "closure-rand-trials"],
     )
-    def test_option_the_claim_does_not_read_exit_2(self, capsys, argv, option):
+    def test_option_the_claim_does_not_read_exit_2(self, capsys, argv, expected):
+        # boxes refuses a range; the removed options are click usage errors.
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
-        assert out == "" and option in err and "internal error" not in err
+        assert out == "" and all(text in err.lower() for text in expected) and "internal error" not in err
 
     def test_all_takes_every_option(self, capsys):
-        code, out, _ = run(capsys, "verify", "all", "--max-n", "4", "--trials", "5")
+        code, out, _ = run(capsys, "verify", "all", "--max-n", "4", "--workers", "2")
         assert code == 0
         reports = {r["claim"]: r for r in json.loads(out)}
-        assert reports["box-properties"]["params"]["trials"] == 5
+        assert reports["box-properties"]["params"]["trials"] == 1000
         assert reports["turan-bound"]["params"]["max_n"] == 4
 
     def test_oversized_header_exit_2(self, capsys, tmp_path):

@@ -57,7 +57,7 @@ class TestTuranDag:
 
 class TestExtremalDag:
     def test_spec_validation(self):
-        for bad in ((0, 2, 1), (1, 1, 1), (1, 2, -1)):
+        for bad in ((0, 2, 1), (1, 0, 1), (1, 2, -1)):
             with pytest.raises(InvalidParamsError):
                 ExtremalSpec(*bad)
 
@@ -76,7 +76,7 @@ class TestExtremalDag:
 
     def test_edge_count_closed_form(self):
         for r in range(1, 11):
-            for l in range(2, 11):
+            for l in range(1, 11):
                 for s in range(0, 11):
                     spec = ExtremalSpec(r, l, s)
                     g = extremal_dag(spec)
@@ -86,7 +86,7 @@ class TestExtremalDag:
 
     def test_always_transitive_and_extremely_reduced(self):
         for r in range(1, 5):
-            for l in range(2, 6):
+            for l in range(1, 6):
                 for s in range(0, 5):
                     g = extremal_dag(ExtremalSpec(r, l, s))
                     assert is_transitive(g)
@@ -94,7 +94,7 @@ class TestExtremalDag:
 
     def test_longest_path_with_sinks(self):
         for r in range(1, 4):
-            for l in range(2, 6):
+            for l in range(1, 6):
                 for s in range(1, 4):
                     assert longest_path_length(extremal_dag(ExtremalSpec(r, l, s))) == l
 
@@ -113,7 +113,7 @@ class TestMultipartiteDefinitions:
                 assert g.edges == {(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]}
 
     def test_extremal_dag(self):
-        for r, l, s in product(range(1, 12), range(2, 13), range(11)):
+        for r, l, s in product(range(1, 12), range(1, 13), range(11)):
             if r + l - 1 + s > 12:
                 continue
             xs, ys, zs = range(r), range(r, r + l - 1), range(r + l - 1, r + l - 1 + s)
@@ -148,8 +148,8 @@ class TestExtremalFor:
             assert len(g.edges) == ell * (ell + 1) // 2
 
     def test_full_sweep(self):
-        for n in range(3, 13):
-            for ell in range(2, n):
+        for n in range(2, 13):
+            for ell in range(1, n):
                 g = extremal_for(n, ell)
                 assert g.n == n
                 assert longest_path_length(g) == ell
@@ -159,9 +159,13 @@ class TestExtremalFor:
                 assert is_strongly_reduced(g)
                 assert is_reduced(g)
 
+    def test_ell_one_is_the_bipartite_turan_graph(self):
+        for n in range(2, 12):
+            assert extremal_for(n, 1) == turan_dag(n, 2)
+
     def test_invalid(self):
         with pytest.raises(InvalidParamsError):
-            extremal_for(5, 1)
+            extremal_for(5, 0)
         with pytest.raises(InvalidParamsError):
             extremal_for(3, 3)
 

@@ -410,15 +410,12 @@ class TestVerifyClaim:
         ]
 
     def test_all_runs_every_claim(self):
-        reports = verify_claim("all", max_n=3, trials=10, random_trials=10)
+        reports = verify_claim("all", max_n=3)
         assert len(reports) == 10
         assert all(r.ok for r in reports)
         assert reports[-1].claim == "clique-free-maximum" and reports[-1].params["max_n"] == 3
 
-    @pytest.mark.parametrize(
-        "claim, option",
-        [("boxes", "max_n"), ("turan", "trials"), ("boxes", "random_trials"), ("implications", "trials")],
-    )
+    @pytest.mark.parametrize("claim, option", [("boxes", "max_n")])
     def test_single_claim_refuses_an_option_it_does_not_read(self, claim, option):
         with pytest.raises(InvalidParamsError, match=f"does not take {option}"):
             verify_claim(claim, **{option: 3})
@@ -464,7 +461,7 @@ class TestVerifyClaim:
         assert [r.params["max_n"] for r in reports] == [7, 6, 6, 6, 5, 6, 6, 6, 8]
 
     def test_all_clamps_a_given_range_to_each_ceiling(self, recorded):
-        verify_claim("all", max_n=9, trials=0)
+        verify_claim("all", max_n=9)
         assert recorded == [8, 8, 8, 8, 6, 8, 8, 8, 9]
 
 
