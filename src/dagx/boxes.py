@@ -29,7 +29,6 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DagxError, DegenerateIntervalError, InvalidParamsError, ParseError
 from .graph import Dag
@@ -201,18 +200,20 @@ def directed_intersection_graph(family: BoxFamily) -> Dag:
 _GRID = 320
 
 
-def _layered_boxes(columns: int, frames: int, slats: int, jitter: Callable[..., int]) -> list[tuple[str, Box]]:
+def _layered_boxes(columns: int, frames: int, slats: int, rng=None) -> list[tuple[str, Box]]:
     """Columns x_i, frames y_j and slats z_k of :func:`extremal_box_family`, each coordinate plus a jitter.
 
-    ``jitter(lo, hi, den=16)`` returns an integer numerator over ``den``
-    (a divisor of _GRID) and is called once per coordinate, in the order
+    Without ``rng`` every jitter is 0. With a numpy Generator, each
+    coordinate draws one integer ``rng.integers(lo, hi + 1)``, a numerator
+    over 16 (over _GRID for the slats' vertical coordinates), in the order
     ix_lo, ix_hi, jy_lo, jy_hi for columns and frames and jy_lo, jy_hi,
     ix_lo, ix_hi for slats. Each coordinate is built as one Fraction over
     _GRID from its base, given in units of 1/_GRID.
     """
 
     def at(base: int, lo: int, hi: int, den: int = 16) -> Fraction:
-        return Fraction(base + jitter(lo, hi, den) * (_GRID // den), _GRID)
+        jitter = 0 if rng is None else int(rng.integers(lo, hi + 1))
+        return Fraction(base + jitter * (_GRID // den), _GRID)
 
     entries = []
     for i in range(1, columns + 1):
@@ -254,7 +255,7 @@ def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
             f"spec {spec} exceeds the default coordinate scale "
             f"(need r <= 9, l <= 10, s/10 + 1/20 < 11 - l)"
         )
-    return BoxFamily(tuple(_layered_boxes(r, l - 1, s, lambda *_: 0)))
+    return BoxFamily(tuple(_layered_boxes(r, l - 1, s)))
 
 
 def random_box_family(count: int, seed) -> BoxFamily:
@@ -281,10 +282,6 @@ def random_transverse_family(seed) -> BoxFamily:
     and retried, up to 16 draws.
     """
     rng = _rng(seed)
-
-    def jitter(lo: int, hi: int, den: int = 16) -> int:
-        return int(rng.integers(lo, hi + 1))
-
     for _ in range(16):
         r = int(rng.integers(0, 5))
         lm = int(rng.integers(0, 5))
@@ -295,7 +292,7 @@ def random_transverse_family(seed) -> BoxFamily:
         # but neighboring columns can be pushed into overlap, and frame
         # nesting margins are 1 against jitter spreads above 1, so some
         # draws fail validation below.
-        entries = _layered_boxes(r, lm, s, jitter)
+        entries = _layered_boxes(r, lm, s, rng)
         kept = [e for e in entries if rng.random() < 0.8]
         if not kept:
             kept = entries

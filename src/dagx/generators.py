@@ -42,17 +42,15 @@ def dag_count(n: int) -> int:
     return 1 << comb(n, 2)
 
 
-def _dag_at(n: int, index: int) -> Dag:
-    """The enumerated graph at ``index``, unchecked: the caller keeps 0 <= index < dag_count(n)."""
-    pairs = pair_table(n)
-    return Dag._unchecked(n, frozenset(pairs[i] for i in bits(index)))
-
-
 def dag_from_index(n: int, index: int) -> Dag:
-    """The enumerated graph whose edge set is the bit pattern of ``index``."""
+    """The enumerated graph whose edge set is the bit pattern of ``index``.
+
+    The only index-to-graph builder; the graph goes through the validating :class:`Dag` constructor.
+    """
     if not 0 <= index < dag_count(n):
         raise InvalidParamsError(f"index {index} outside 0..{dag_count(n) - 1}")
-    return _dag_at(n, index)
+    pairs = pair_table(n)
+    return Dag(n, [pairs[i] for i in bits(index)])
 
 
 def enumerate_dags(n: int, start: int = 0, stop: int | None = None) -> Iterator[Dag]:
@@ -67,7 +65,7 @@ def enumerate_dags(n: int, start: int = 0, stop: int | None = None) -> Iterator[
     total = dag_count(n)
     stop = total if stop is None else min(stop, total)
     for index in range(max(start, 0), stop):
-        yield _dag_at(n, index)
+        yield dag_from_index(n, index)
 
 
 def _multipartite(parts: list[int]) -> Dag:
@@ -78,7 +76,7 @@ def _multipartite(parts: list[int]) -> Dag:
     for size in parts:
         edges += product(range(lo, lo + size), range(lo + size, n))
         lo += size
-    return Dag._unchecked(n, frozenset(edges))
+    return Dag(n, edges)
 
 
 def turan_dag(n: int, k: int) -> Dag:
@@ -166,7 +164,5 @@ def random_dag(n: int, p: float, seed) -> Dag:
         raise InvalidParamsError(f"vertex count must be >= 1, got {n}")
     rng = _rng(seed)
     pairs = pair_table(n)
-    if not pairs:
-        return Dag._unchecked(n, frozenset())
     keep = rng.random(len(pairs)) < p
-    return Dag._unchecked(n, frozenset(pr for pr, k in zip(pairs, keep) if k))
+    return Dag(n, [pr for pr, k in zip(pairs, keep) if k])

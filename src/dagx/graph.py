@@ -46,14 +46,17 @@ def bits(mask: int) -> Iterator[int]:
 
 
 class Dag:
-    """A validated directed acyclic graph.
+    """A validated directed acyclic graph; its constructor is the only way to build one.
 
-    Construction checks self-loops, duplicate edges, endpoint ranges and
-    acyclicity; a :class:`~dagx.errors.CycleError` carries a witness
-    cycle. Equality is exact labeled equality of (n, edges).
+    Construction checks integer endpoints, endpoint ranges, self-loops,
+    duplicate edges and acyclicity, whether the graph is parsed or
+    generated; a :class:`~dagx.errors.CycleError` carries a witness
+    cycle. The same pass records the topological order that
+    :func:`topological_order` returns. Equality is exact labeled equality
+    of (n, edges).
     """
 
-    __slots__ = ("n", "edges", "succ_masks", "pred_masks", "_cache")
+    __slots__ = ("n", "edges", "succ_masks", "pred_masks", "_order", "_cache")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not isinstance(n, int) or n < 1:
@@ -62,37 +65,29 @@ class Dag:
             pairs = [(index(u), index(v)) for u, v in edges]
         except TypeError:
             raise VertexRangeError("edge endpoints must be integers") from None
-        seen: set[Edge] = set()
+        succ = [0] * n
+        pred = [0] * n
+        forward = True
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
+            if succ[u] >> v & 1:
                 raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        self._set_edges(n, frozenset(seen))
-        if not all(u < v for u, v in seen):
-            _check_acyclic(n, self.succ_masks, self.pred_masks)
-
-    @classmethod
-    def _unchecked(cls, n: int, edges: frozenset[Edge]) -> "Dag":
-        """Build without validation; caller guarantees a valid acyclic edge set."""
-        g = object.__new__(cls)
-        g._set_edges(n, edges)
-        return g
-
-    def _set_edges(self, n: int, edges: frozenset[Edge]) -> None:
-        """Store ``edges`` with their successor and predecessor rows, and an empty cache."""
-        succ = [0] * n
-        pred = [0] * n
-        for u, v in edges:
             succ[u] |= 1 << v
             pred[v] |= 1 << u
+            if u > v:
+                forward = False
+        # Exact: on a forward-labeled graph, Kahn's smallest-source-first walk yields 0..n-1.
+        order = range(n) if forward else _kahn(n, succ, pred)
+        if len(order) < n:
+            raise CycleError(_witness_cycle(pred, (1 << n) - 1 - sum(1 << v for v in order)))
         self.n = n
-        self.edges = edges
+        self.edges = frozenset(pairs)
         self.succ_masks = tuple(succ)
         self.pred_masks = tuple(pred)
+        self._order: TopoOrder = tuple(order)
         self._cache: dict[str, object] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -106,16 +101,8 @@ class Dag:
     def __repr__(self) -> str:
         return f"Dag(n={self.n}, edges={sorted(self.edges)})"
 
-    def is_forward(self) -> bool:
-        """True when every edge (u, v) has u < v (vertex order is topological)."""
-        flag = self._cache.get("forward")
-        if flag is None:
-            flag = all(u < v for u, v in self.edges)
-            self._cache["forward"] = flag
-        return flag
 
-
-def _kahn(n: int, succ: tuple[int, ...], pred: tuple[int, ...]) -> list[int]:
+def _kahn(n: int, succ: list[int], pred: list[int]) -> list[int]:
     """Kahn's walk: vertices in removal order, smallest source first.
 
     A vertex on a cycle, or reached from one, is never a source and is
@@ -135,13 +122,7 @@ def _kahn(n: int, succ: tuple[int, ...], pred: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _check_acyclic(n: int, succ: tuple[int, ...], pred: tuple[int, ...]) -> None:
-    order = _kahn(n, succ, pred)
-    if len(order) < n:
-        raise CycleError(_witness_cycle(pred, (1 << n) - 1 - sum(1 << v for v in order)))
-
-
-def _witness_cycle(pred: tuple[int, ...], remaining: int) -> list[int]:
+def _witness_cycle(pred: list[int], remaining: int) -> list[int]:
     # Every vertex of `remaining` keeps a predecessor inside `remaining`,
     # so walking predecessors must revisit a vertex.
     v = (remaining & -remaining).bit_length() - 1
@@ -158,12 +139,8 @@ def _witness_cycle(pred: tuple[int, ...], remaining: int) -> list[int]:
 
 
 def topological_order(g: Dag) -> TopoOrder:
-    """Deterministic topological order: repeatedly remove the smallest source."""
-    order = g._cache.get("topo")
-    if order is None:
-        order = tuple(range(g.n)) if g.is_forward() else tuple(_kahn(g.n, g.succ_masks, g.pred_masks))
-        g._cache["topo"] = order
-    return order
+    """The order ``g`` was built with: repeatedly remove the smallest source."""
+    return g._order
 
 
 def all_topological_orders(g: Dag, cap: int = DEFAULT_ORDER_CAP) -> list[TopoOrder]:

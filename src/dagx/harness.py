@@ -44,8 +44,8 @@ from .errors import InvalidParamsError, LimitExceededError, UnknownClaimError
 from .generators import (
     MAX_ENUM_VERTICES,
     ExtremalSpec,
-    _dag_at,
     dag_count,
+    dag_from_index,
     extremal_dag,
     extremal_for,
     pair_table,
@@ -139,7 +139,7 @@ def _graph_entry(g: Dag | None, detail: str) -> dict:
 def _mask_entries(n: int, start: int, hits: np.ndarray, details: Callable[[int], list[str]]) -> Iterator[dict]:
     """One entry per detail of each mask start + j, j in ``hits``; each graph is built once, when listed."""
     for j in hits.tolist():
-        g = _dag_at(n, start + j)
+        g = dag_from_index(n, start + j)
         for detail in details(j):
             yield _graph_entry(g, detail)
 
@@ -378,7 +378,7 @@ def _predicate_problems(g: Dag) -> list[str]:
 def _scan_implications(n: int, start: int, stop: int) -> dict:
     sample = _Sample()
     for mask in range(start, stop):
-        g = _dag_at(n, mask)
+        g = dag_from_index(n, mask)
         for problem in _predicate_problems(g):
             sample.add(_graph_entry(g, problem))
     return {"sample": sample}
@@ -526,16 +526,18 @@ def _scan_separations(n: int, start: int, stop: int) -> dict:
 
 
 def find_separations(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
-    """Search the enumeration for class-separating witnesses.
+    """Search the enumeration for class-separating witnesses, and check where they first appear.
 
     Finds the first (smallest n, then smallest index) DAG that is reduced
     but not strongly reduced, and the first that is strongly but not
-    extremely reduced; both exist at n = 5 and none below. The known
-    5-vertex chorded-chain example is verified explicitly and must show
-    up as a type-(a) witness.
+    extremely reduced. Both exist at n = 5 and none below, and the first
+    reduced-not-strongly witness is the 5-vertex chorded chain. A witness
+    found anywhere but n = 5 is a violation at any ``max_n``. When
+    ``max_n >= 5``, so is a kind with no witness, a first
+    reduced-not-strongly witness other than the chorded chain, or a
+    chorded chain the scalar predicates do not place between the classes.
     """
     _require_range("separations", max_n, MAX_ENUM_VERTICES)
-    witnesses: list[dict] = []
     found: dict[str, tuple[int, int]] = {}
     with _Sweep(workers) as sweep:
         for n, parts in sweep.over_n(_scan_separations, max_n):
@@ -547,25 +549,16 @@ def find_separations(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
                 break
 
     chorded = Dag(5, CHORDED_CHAIN_EDGES)
-    if max_n >= 5:
-        if is_reduced(chorded) and not is_strongly_reduced(chorded):
-            witnesses.append(
-                {
-                    "kind": "reduced-not-strongly",
-                    "n": 5,
-                    "graph": format_edge_list(chorded),
-                    "detail": "chain with chords 0->3 and 1->4; the two chord paths union to a non-path",
-                }
-            )
-        else:
-            sweep.sample.note(_graph_entry(chorded, "chorded chain should be reduced and not strongly reduced"))
+    if max_n >= 5 and (not is_reduced(chorded) or is_strongly_reduced(chorded)):
+        sweep.sample.note(_graph_entry(chorded, "chorded chain should be reduced and not strongly reduced"))
+    witnesses: list[dict] = []
     for kind in _SEPARATION_KINDS:
         if kind not in found:
             if max_n >= 5:
                 sweep.sample.note(_graph_entry(None, f"no {kind} witness found although one exists at n = 5"))
             continue
         n, mask = found[kind]
-        g = _dag_at(n, mask)
+        g = dag_from_index(n, mask)
         entry = {
             "kind": kind,
             "n": n,
@@ -573,9 +566,13 @@ def find_separations(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
             "graph": format_edge_list(g),
             "detail": f"first enumerated {kind} witness",
         }
-        if kind == "reduced-not-strongly" and g == chorded:
-            entry["detail"] += "; equals the known chorded-chain example"
-            witnesses[:] = [w for w in witnesses if w["kind"] != kind]
+        if n != 5:
+            sweep.sample.note(_graph_entry(g, f"first {kind} witness is at n = {n}, expected n = 5"))
+        if kind == "reduced-not-strongly" and max_n >= 5:
+            if g == chorded:
+                entry["detail"] += "; equals the known chorded-chain example"
+            else:
+                sweep.sample.note(_graph_entry(g, f"first {kind} witness is not the chorded chain"))
         witnesses.append(entry)
     return sweep.report(
         "separations",

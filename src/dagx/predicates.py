@@ -122,8 +122,7 @@ def is_transitive(g: Dag) -> bool:
 def transitive_closure(g: Dag) -> Dag:
     """The DAG with an edge for every reachable ordered pair."""
     rf = reach_from_masks(g)
-    edges = frozenset((v, w) for v in range(g.n) for w in bits(rf[v]))
-    return Dag._unchecked(g.n, edges)
+    return Dag(g.n, [(v, w) for v in range(g.n) for w in bits(rf[v])])
 
 
 def _joined_pairs_linked(g: Dag, linked: Sequence[int]) -> bool:

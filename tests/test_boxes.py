@@ -349,6 +349,29 @@ b5,25/2,39/2,-8,-5/2
     def test_general_draws_pinned(self, seed):
         assert format_box_csv(random_box_family(6, seed)) == self.PINNED_GENERAL[seed]
 
+    # The (seed, 0, trial) streams of the boxes claim, written out from the
+    # code before _layered_boxes took the generator itself instead of a
+    # jitter callback; the draws and their order must not change.
+    PINNED_TRIALS = {
+        (1, 0, 19): """id,ix_lo,ix_hi,jy_lo,jy_hi
+x1,3/2,27/8,-81/8,39/4
+y1,-343/16,327/16,-143/16,37/4
+y2,-347/16,89/4,-35/4,15/2
+z1,-647/16,633/16,29/320,5/32
+z2,-321/8,639/16,13/64,41/160
+""",
+        (271828, 0, 17): """id,ix_lo,ix_hi,jy_lo,jy_hi
+x1,23/16,13/4,-165/16,79/8
+y1,-167/8,335/16,-73/8,149/16
+z1,-321/8,40,17/160,5/32
+z3,-635/16,317/8,19/64,113/320
+""",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_TRIALS))
+    def test_trial_draws_pinned(self, seed):
+        assert format_box_csv(random_transverse_family(seed)) == self.PINNED_TRIALS[seed]
+
     def test_transverse_generator_validates(self):
         for seed in range(60):
             fam = random_transverse_family(seed)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dagx.generators as generators
 from dagx import (
+    CycleError,
     Dag,
+    DuplicateEdgeError,
     ExtremalSpec,
     InvalidParamsError,
     LimitExceededError,
@@ -231,3 +234,22 @@ class TestRandomDag:
     def test_always_valid(self, seed):
         g = random_dag(7, 0.5, seed)
         Dag(7, g.edges)
+
+
+class TestCorruptPairTable:
+    """Every generator builds through the validating constructor, so a bad pair table cannot yield a bad Dag."""
+
+    @pytest.mark.parametrize(
+        "table, error",
+        [(((0, 1), (1, 2), (2, 0)), CycleError), (((0, 1), (1, 2), (0, 1)), DuplicateEdgeError)],
+        ids=["cycle", "duplicate"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: dag_from_index(3, 7), lambda: next(enumerate_dags(3, 7)), lambda: random_dag(3, 1.0, 0)],
+        ids=["dag_from_index", "enumerate_dags", "random_dag"],
+    )
+    def test_raises(self, monkeypatch, table, error, build):
+        monkeypatch.setattr(generators, "pair_table", lambda n: table)
+        with pytest.raises(error):
+            build()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from dagx import (
     levels,
     longest_path_length,
     parse_edge_list,
+    random_dag,
     reachability,
     sinks,
     sources,
@@ -128,6 +131,36 @@ class TestTopologicalOrder:
         pos = {v: i for i, v in enumerate(topological_order(g))}
         assert sorted(pos) == list(range(g.n))
         assert all(pos[u] < pos[v] for u, v in g.edges)
+
+
+def smallest_source_walk(g: Dag) -> tuple[int, ...]:
+    """Literal reference order: repeatedly remove the smallest source."""
+    left = set(range(g.n))
+    order = []
+    while left:
+        v = min(v for v in left if not any((u, v) in g.edges for u in left))
+        order.append(v)
+        left.remove(v)
+    return tuple(order)
+
+
+class TestStoredOrder:
+    """The order kept by the constructor is the literal smallest-source walk."""
+
+    def test_every_enumerated_dag(self):
+        for n in range(1, 6):
+            for g in enumerate_dags(n):
+                assert topological_order(g) == smallest_source_walk(g)
+
+    def test_random_relabelings(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            g = random_dag(n, rng.random(), rng.randrange(2**32))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Dag(n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert topological_order(h) == smallest_source_walk(h)
 
 
 class TestAllTopologicalOrders:

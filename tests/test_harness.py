@@ -27,7 +27,7 @@ from dagx import (
 )
 from dagx.bounds import turan_graph_edges
 from dagx.generators import dag_count, dag_from_index
-from dagx.graph import longest_path_length
+from dagx.graph import format_edge_list, longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
 from dagx.harness import CHORDED_CHAIN_EDGES, _clique_edge_masks, _cover_within, _pair_bits
 from dagx.kernels import _BLOCK, _blocks, _levels_chunk
@@ -279,6 +279,60 @@ class TestSeparations:
     def test_stops_after_smallest(self):
         report = find_separations(6)
         assert report.checked == 1 + 2 + 8 + 64 + 1024
+
+    @staticmethod
+    def kernel_at(monkeypatch, n, change):
+        """Replace the reach kernel's verdicts by ``change(verdicts)`` on graphs with n vertices."""
+        real = harness._reach_verdicts
+
+        def kernel(succ, pred):
+            v = real(succ, pred)
+            return change(v) if succ.shape[0] == n else v
+
+        monkeypatch.setattr(harness, "_reach_verdicts", kernel)
+
+    def test_no_witness_at_five(self, monkeypatch):
+        # Every reduced graph on 5 vertices declared extremely reduced: the
+        # first witnesses move to n = 6, which contradicts "both at n = 5".
+        self.kernel_at(monkeypatch, 5, lambda v: v._replace(strongly=v.reduced, extremely=v.reduced))
+        report = find_separations(6)
+        assert not report.ok
+        assert report.checked == 1 + 2 + 8 + 64 + 1024 + 32768
+        assert [w["n"] for w in report.witnesses] == [6, 6]
+        first_a = report.witnesses[0]["graph"]
+        assert report.violations == [
+            {"graph": first_a, "detail": "first reduced-not-strongly witness is at n = 6, expected n = 5"},
+            {"graph": first_a, "detail": "first reduced-not-strongly witness is not the chorded chain"},
+            {
+                "graph": report.witnesses[1]["graph"],
+                "detail": "first strongly-not-extremely witness is at n = 6, expected n = 5",
+            },
+        ]
+
+    @pytest.mark.parametrize("max_n", [4, 5])
+    def test_witness_below_five(self, monkeypatch, max_n):
+        # No graph on 4 vertices declared strongly reduced: the empty graph
+        # (index 0) becomes a reduced-not-strongly witness below n = 5.
+        self.kernel_at(monkeypatch, 4, lambda v: v._replace(strongly=np.zeros_like(v.strongly)))
+        report = find_separations(max_n)
+        assert not report.ok
+        first = report.witnesses[0]
+        assert (first["kind"], first["n"], first["index"]) == ("reduced-not-strongly", 4, 0)
+        empty = format_edge_list(Dag(4))
+        expected = [{"graph": empty, "detail": "first reduced-not-strongly witness is at n = 4, expected n = 5"}]
+        if max_n == 5:
+            expected.append({"graph": empty, "detail": "first reduced-not-strongly witness is not the chorded chain"})
+        assert report.violations == expected
+
+    def test_chorded_chain_checked_by_the_scalar_predicates(self, monkeypatch):
+        monkeypatch.setattr(harness, "is_strongly_reduced", lambda g: True)
+        report = find_separations(5)
+        assert report.violations == [
+            {
+                "graph": format_edge_list(Dag(5, CHORDED_CHAIN_EDGES)),
+                "detail": "chorded chain should be reduced and not strongly reduced",
+            }
+        ]
 
 
 class TestCliqueBound:
