@@ -10,6 +10,7 @@ isomorphism-invariant claims are fully covered without deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import comb
 from typing import Iterator
@@ -25,20 +26,17 @@ from .graph import Dag, Edge, bits
 # one core of a 2-core x86 box; n = 9 has 2^36, 256 times as many.
 MAX_ENUM_VERTICES = 8
 
-_PAIR_CACHE: dict[int, tuple[Edge, ...]] = {}
 
-
+@cache
 def pair_table(n: int) -> tuple[Edge, ...]:
     """All pairs (u, v) with u < v < n, lexicographic; bit i <-> pair i."""
-    table = _PAIR_CACHE.get(n)
-    if table is None:
-        table = tuple((u, v) for u in range(n) for v in range(u + 1, n))
-        _PAIR_CACHE[n] = table
-    return table
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 def dag_count(n: int) -> int:
-    """Number of enumerated graphs on n vertices: 2^C(n, 2)."""
+    """Number of enumerated graphs on n >= 1 vertices: 2^C(n, 2)."""
+    if n < 1:
+        raise InvalidParamsError(f"vertex count must be >= 1, got {n}")
     return 1 << comb(n, 2)
 
 
@@ -53,18 +51,12 @@ def dag_from_index(n: int, index: int) -> Dag:
     return Dag(n, [pairs[i] for i in bits(index)])
 
 
-def enumerate_dags(n: int, start: int = 0, stop: int | None = None) -> Iterator[Dag]:
-    """Stream every forward-labeled DAG on n vertices, in index order.
-
-    ``start``/``stop`` select an index sub-range so workers can partition
-    the enumeration. Raises :class:`~dagx.errors.LimitExceededError` when
-    n exceeds ``MAX_ENUM_VERTICES``.
-    """
+def enumerate_dags(n: int) -> Iterator[Dag]:
+    """Stream every forward-labeled DAG on n vertices, in index order; n above
+    ``MAX_ENUM_VERTICES`` raises :class:`~dagx.errors.LimitExceededError`."""
     if n > MAX_ENUM_VERTICES:
         raise LimitExceededError(f"enumeration of n={n} exceeds the ceiling {MAX_ENUM_VERTICES}")
-    total = dag_count(n)
-    stop = total if stop is None else min(stop, total)
-    for index in range(max(start, 0), stop):
+    for index in range(dag_count(n)):
         yield dag_from_index(n, index)
 
 

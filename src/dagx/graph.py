@@ -146,35 +146,25 @@ def topological_order(g: Dag) -> TopoOrder:
 def all_topological_orders(g: Dag, cap: int = DEFAULT_ORDER_CAP) -> list[TopoOrder]:
     """All linear extensions of ``g`` in lexicographic order.
 
-    Raises :class:`~dagx.errors.CapExceededError` once more than ``cap``
-    orders exist; the partial result is never returned.
+    Each step places, smallest first, an unplaced vertex whose predecessors
+    are all placed. Raises :class:`~dagx.errors.CapExceededError` once more
+    than ``cap`` orders exist; the partial result is never returned.
     """
-    n = g.n
-    indeg = [g.pred_masks[v].bit_count() for v in range(n)]
-    placed = [False] * n
-    prefix: list[int] = []
+    pred = g.pred_masks
+    full = (1 << g.n) - 1
     out: list[TopoOrder] = []
 
-    def extend() -> None:
-        if len(prefix) == n:
+    def extend(prefix: TopoOrder, placed: int) -> None:
+        if placed == full:
             if len(out) >= cap:
                 raise CapExceededError(f"more than {cap} topological orders")
-            out.append(tuple(prefix))
+            out.append(prefix)
             return
-        for v in range(n):
-            if placed[v] or indeg[v] != 0:
-                continue
-            placed[v] = True
-            prefix.append(v)
-            for w in bits(g.succ_masks[v]):
-                indeg[w] -= 1
-            extend()
-            for w in bits(g.succ_masks[v]):
-                indeg[w] += 1
-            prefix.pop()
-            placed[v] = False
+        for v in bits(full ^ placed):
+            if pred[v] & ~placed == 0:
+                extend(prefix + (v,), placed | 1 << v)
 
-    extend()
+    extend((), 0)
     return out
 
 

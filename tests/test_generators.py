@@ -191,12 +191,15 @@ class TestEnumerateDags:
         with pytest.raises(LimitExceededError):
             next(enumerate_dags(9))
 
-    def test_partitioning(self):
-        full = [g.edges for g in enumerate_dags(4)]
-        parts = [g.edges for g in enumerate_dags(4, 0, 40)] + [
-            g.edges for g in enumerate_dags(4, 40, None)
-        ]
-        assert parts == full
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [dag_count, lambda n: dag_from_index(n, 0), lambda n: next(enumerate_dags(n))],
+        ids=["dag_count", "dag_from_index", "enumerate_dags"],
+    )
+    def test_bad_vertex_count(self, call, n):
+        with pytest.raises(InvalidParamsError):
+            call(n)
 
     def test_index_round_trip(self):
         for i, g in enumerate(enumerate_dags(3)):
@@ -246,7 +249,7 @@ class TestCorruptPairTable:
     )
     @pytest.mark.parametrize(
         "build",
-        [lambda: dag_from_index(3, 7), lambda: next(enumerate_dags(3, 7)), lambda: random_dag(3, 1.0, 0)],
+        [lambda: dag_from_index(3, 7), lambda: list(enumerate_dags(3)), lambda: random_dag(3, 1.0, 0)],
         ids=["dag_from_index", "enumerate_dags", "random_dag"],
     )
     def test_raises(self, monkeypatch, table, error, build):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,22 @@ class TestAllTopologicalOrders:
         assert len(all_topological_orders(Dag(4), cap=24)) == 24
         with pytest.raises(CapExceededError):
             all_topological_orders(Dag(4), cap=23)
+
+    def test_every_dag_against_the_definition(self):
+        # Every enumerated DAG with n <= 5 and two relabelings of each:
+        # the orders are exactly the permutations that put every edge
+        # forward, and the first of them is the stored order.
+        rng = random.Random(11)
+        for n in range(1, 6):
+            perms = list(permutations(range(n)))
+            positions = [{v: i for i, v in enumerate(p)} for p in perms]
+            for g in enumerate_dags(n):
+                for relabel in (list(range(n)), *(rng.sample(range(n), n) for _ in range(2))):
+                    h = Dag(n, [(relabel[u], relabel[v]) for u, v in g.edges])
+                    orders = all_topological_orders(h)
+                    expected = [p for p, at in zip(perms, positions) if all(at[u] < at[v] for u, v in h.edges)]
+                    assert orders == expected
+                    assert orders[0] == topological_order(h)
 
 
 class TestLongestPath:

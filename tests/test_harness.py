@@ -237,13 +237,9 @@ class TestImplicationsClaim:
         assert report.ok
         assert report.checked == 75 + 100
 
-    def test_negative_seed(self):
-        with pytest.raises(InvalidParamsError, match="seed"):
-            verify_implications(2, random_trials=3, seed=-5)
-
     def test_random_trials_deterministic(self):
-        a = stripped(verify_implications(3, random_trials=50, seed=9))
-        b = stripped(verify_implications(3, random_trials=50, seed=9))
+        a = stripped(verify_implications(3, random_trials=50))
+        b = stripped(verify_implications(3, random_trials=50))
         assert a == b
 
 
