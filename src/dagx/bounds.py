@@ -10,6 +10,13 @@ def _check_nk(n: int, k: int) -> None:
         raise InvalidParamsError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
+def _check_n_ell(n: int, ell: int) -> None:
+    if ell < 1:
+        raise InvalidParamsError(f"need ell >= 1, got {ell}")
+    if n < ell + 1:
+        raise InvalidParamsError(f"need n >= ell + 1, got n={n}, ell={ell}")
+
+
 def balanced_parts(n: int, k: int) -> list[int]:
     """Sizes of k near-equal parts of n vertices, larger parts first."""
     _check_nk(n, k)
@@ -38,8 +45,5 @@ def reduced_dag_edge_bound(n: int, ell: int) -> int:
     Equals t(n - ell + 1, 2) + the interval quantity at (n, ell); requires
     n >= ell + 1 so a path of length ``ell`` fits.
     """
-    if ell < 1:
-        raise InvalidParamsError(f"need ell >= 1, got {ell}")
-    if n < ell + 1:
-        raise InvalidParamsError(f"need n >= ell + 1, got n={n}, ell={ell}")
+    _check_n_ell(n, ell)
     return turan_graph_edges(n - ell + 1, 2) + interval_turan(n, ell)

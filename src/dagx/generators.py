@@ -5,19 +5,22 @@ Enumeration is over labeled forward edge sets: every subset of
 pairs from :func:`pair_table`. Every DAG is isomorphic to at least one
 enumerated graph (relabel along a topological order), so universal
 isomorphism-invariant claims are fully covered without deduplication.
+The table is in colex order: an n-vertex index holds the (n - 1)-vertex
+graph in its low C(n - 1, 2) bits and the predecessor set of the last
+sink, vertex n - 1, in its top n - 1 bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .bounds import balanced_parts
+from .bounds import _check_n_ell, balanced_parts
 from .errors import InvalidParamsError, LimitExceededError
 from .graph import Dag, Edge, bits
 
@@ -29,8 +32,8 @@ MAX_ENUM_VERTICES = 8
 
 @cache
 def pair_table(n: int) -> tuple[Edge, ...]:
-    """All pairs (u, v) with u < v < n, lexicographic; bit i <-> pair i."""
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+    """All pairs (u, v), u < v < n, in colex order: ``pair_table(n - 1)``, then each (u, n - 1); bit i <-> pair i."""
+    return tuple((u, v) for v in range(n) for u in range(v))
 
 
 def dag_count(n: int) -> int:
@@ -127,10 +130,7 @@ def extremal_for(n: int, ell: int) -> Dag:
     the closed-form bound exactly. For ell == 1 there are no middles, and
     the graph is the oriented bipartite Turan graph ``turan_dag(n, 2)``.
     """
-    if ell < 1:
-        raise InvalidParamsError(f"need ell >= 1, got {ell}")
-    if n < ell + 1:
-        raise InvalidParamsError(f"need n >= ell + 1, got n={n}, ell={ell}")
+    _check_n_ell(n, ell)
     m = n - ell + 1
     return extremal_dag(ExtremalSpec(r=(m + 1) // 2, l=ell, s=m // 2))
 
@@ -148,13 +148,12 @@ def random_dag(n: int, p: float, seed) -> Dag:
 
     Deterministic for a fixed ``seed`` (anything accepted by
     ``numpy.random.default_rng``, e.g. an int or a tuple of ints, so
-    sharded callers can derive independent per-index streams).
+    sharded callers can derive independent per-index streams). Draw i
+    decides pair i of ``combinations(range(n), 2)``, not of :func:`pair_table`.
     """
     if not 0 <= p <= 1:
         raise InvalidParamsError(f"edge probability must be in [0, 1], got {p}")
     if n < 1:
         raise InvalidParamsError(f"vertex count must be >= 1, got {n}")
-    rng = _rng(seed)
-    pairs = pair_table(n)
-    keep = rng.random(len(pairs)) < p
-    return Dag(n, [pr for pr, k in zip(pairs, keep) if k])
+    keep = _rng(seed).random(comb(n, 2)) < p
+    return Dag(n, [pr for pr, k in zip(combinations(range(n), 2), keep) if k])

@@ -48,7 +48,6 @@ from .generators import (
     dag_from_index,
     extremal_dag,
     extremal_for,
-    pair_table,
     random_dag,
     turan_dag,
 )
@@ -204,8 +203,11 @@ class _Sweep(ExitStack):
     def run(self, scan: Callable[..., dict], total: int, *args) -> list[dict]:
         """Scan the index range 0..total-1 shard by shard; merge and return the parts."""
         shards = _shard_ranges(total, self.workers)
-        processes = min(self.workers, len(os.sched_getaffinity(0)))
-        if processes <= 1 or len(shards) <= 1:
+        processes = 1
+        if len(shards) > 1:  # a pool could open: count the CPUs, by affinity where the OS has it
+            affinity = getattr(os, "sched_getaffinity", None)
+            processes = min(self.workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
+        if processes <= 1:
             parts = [scan(*args, a, b) for a, b in shards]
         else:
             if self._pool is None:
@@ -581,7 +583,8 @@ def find_separations(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
 
 
 def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    return {pair: 1 << i for i, pair in enumerate(pair_table(n))}
+    """Bit i for pair i of ``combinations(range(n), 2)``: the search's own numbering, not the enumeration index's."""
+    return {pair: 1 << i for i, pair in enumerate(combinations(range(n), 2))}
 
 
 def _clique_edge_masks(n: int, size: int, bit: dict[tuple[int, int], int]) -> list[int]:
@@ -666,9 +669,7 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
                 detail = f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}"
                 sweep.sample.note(_graph_entry(None, detail))
             g = turan_dag(n, k)
-            mask = 0
-            for pair in g.edges:
-                mask |= bit[pair]
+            mask = sum(bit[pair] for pair in g.edges)
             if len(g.edges) != t:
                 sweep.sample.note(_graph_entry(g, f"expected {t} edges at n={n}, k={k}"))
             if not any(cm & ~mask == 0 for cm in cliques[k]):
@@ -718,7 +719,7 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     family reproduces the extremal graph exactly.
 
     At the default seed the 1,000 general families contain no pair with both a common ancestor and
-    a common descendant, so they check the middle claim vacuously; ROADMAP item 3 replaces them once
+    a common descendant, so they check the middle claim vacuously; ROADMAP item 4 replaces them once
     a benchmark change re-pins the ``boxes`` count."""
     if trials < 0:
         raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")

@@ -1,11 +1,13 @@
 """Whole-block numpy kernels for the exhaustive sweeps.
 
 A block is a run start..stop-1 of enumeration indices at one n: bit i of
-an index is edge bit i, the pair ``pair_table(n)[i]``. Each kernel
-decodes the block's edge bits once and then works on one numpy row per
-vertex (or pair), so a block of thousands of graphs costs O(n^2) numpy
-operations instead of one Python-level graph check per index. Every
-graph here is forward-labeled: edges run from lower to higher vertices.
+an index is edge bit i, the pair ``pair_table(n)[i]``. That table groups
+the pairs by their head, so a block's fixed high bits are the predecessor
+sets of its last sinks. Each kernel decodes the block's edge bits once
+and then works on one numpy row per vertex (or pair), so a block of
+thousands of graphs costs O(n^2) numpy operations instead of one
+Python-level graph check per index. Every graph here is forward-labeled:
+edges run from lower to higher vertices.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _edge_bits(n: int, start: int, stop: int) -> tuple[int, np.ndarray]:
 
     Bits above the highest bit in which start and stop - 1 differ are the
     same for the whole block, so only the low k are decoded; a pair
-    i >= k has the edge bit ``start >> i & 1`` throughout.
+    i >= k, an edge into a late sink, keeps the bit ``start >> i & 1``.
     """
     size = stop - start
     k = min(len(pair_table(n)), (start ^ (stop - 1)).bit_length())
@@ -53,12 +55,12 @@ def _edge_bits(n: int, start: int, stop: int) -> tuple[int, np.ndarray]:
 def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
 
-    Walking the pairs of ``pair_table(n)`` in their lexicographic order,
-    every edge into u comes before any edge out of u, so ``lev[u]`` is
-    final when pair (u, v) relaxes ``lev[v] = max(lev[v], bit * (lev[u] + 1))``;
-    pairs whose bit is fixed across the block are skipped or relaxed
-    unconditionally. int8 holds every level and edge count up to n = 16,
-    past any n whose enumeration could finish.
+    ``pair_table(n)`` groups the pairs by their head, so every edge into u comes
+    before any edge out of u, and ``lev[u]`` is final when pair (u, v) relaxes
+    ``lev[v] = max(lev[v], bit * (lev[u] + 1))``; pairs whose bit is fixed across
+    the block, edges into its last sinks, are skipped or relaxed unconditionally.
+    int8 holds every level and edge count up to n = 16, past any n whose
+    enumeration could finish.
     """
     k, bit = _edge_bits(n, start, stop)
     bit = bit.view(np.int8)

@@ -135,6 +135,11 @@ class TestGen:
         assert out1 == out2
         parse_edge_list(out1)
 
+    def test_random_pinned(self, capsys):
+        code, out, _ = run(capsys, "gen", "random", "--n", "7", "--p", "0.5", "--seed", "11")
+        assert code == 0
+        assert out == "n 7\n0 1\n0 2\n0 4\n0 5\n1 2\n1 3\n1 6\n2 5\n2 6\n"
+
     def test_bad_params_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "extremal", "--n", "5", "--ell", "0")
         assert code == 2

@@ -97,6 +97,13 @@ class TestLevelsKernel:
         for got, want in zip(zip(*(_levels_chunk(7, a, b) for a, b in runs)), whole):
             assert np.array_equal(np.concatenate(got), want)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_isolated_last_sink(self, n):
+        # The first dag_count(n - 1) indices at n leave vertex n - 1 isolated,
+        # which changes no level and no edge count.
+        for got, want in zip(_levels_chunk(n, 0, dag_count(n - 1)), _levels_chunk(n - 1, 0, dag_count(n - 1))):
+            assert np.array_equal(got, want)
+
 
 class TestTuranClaim:
     def test_counts(self):
@@ -267,6 +274,13 @@ class TestSeparations:
         first_b = parse_edge_list(kinds["strongly-not-extremely"]["graph"])
         assert first_b == Dag(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
+    def test_witness_indices(self):
+        report = find_separations(5)
+        assert [(w["kind"], w["index"]) for w in report.witnesses] == [
+            ("reduced-not-strongly", 685),
+            ("strongly-not-extremely", 549),
+        ]
+
     def test_none_below_five(self):
         report = find_separations(4)
         assert report.ok
@@ -343,6 +357,12 @@ class TestCliqueBound:
         triangles = _clique_edge_masks(8, 3, _pair_bits(8))
         assert not _cover_within(triangles, 11)
         assert _cover_within(triangles, 12)
+
+    def test_pinned_clique_masks(self):
+        # The search numbers the pairs by combinations(range(n), 2), whatever the enumeration's pair order.
+        assert _clique_edge_masks(5, 2, _pair_bits(5)) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+        assert _clique_edge_masks(5, 3, _pair_bits(5)) == [19, 37, 73, 134, 266, 524, 176, 336, 608, 896]
+        assert _clique_edge_masks(5, 4, _pair_bits(5)) == [183, 347, 621, 910, 1008]
 
     def test_search_matches_literal_oracle(self):
         # Every edge set of K_n, n <= 6, tried in turn: the densest one with
@@ -516,12 +536,12 @@ class TestVerifyClaim:
 
 
 class TestPool:
-    def test_one_pool_of_at_most_one_process_per_cpu(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of every pool a sweep opens; the pools run each task at once and start no process."""
         sizes = []
 
         class InlineExecutor:
-            """Records its size and runs each task at once; starts no process."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -537,9 +557,24 @@ class TestPool:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        return sizes
+
+    def test_one_pool_of_at_most_one_process_per_cpu(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         report = verify_turan_bound(4, workers=5000)
-        assert sizes == [3]
+        assert pool_sizes == [3]
+        assert stripped(report) == stripped(verify_turan_bound(4))
+
+    def test_without_affinity_one_worker(self, monkeypatch):
+        # os.sched_getaffinity exists only on some platforms (Linux among them).
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        assert verify_turan_bound(3).ok
+
+    def test_without_affinity_every_cpu(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        report = verify_turan_bound(4, workers=5000)
+        assert pool_sizes == [3]
         assert stripped(report) == stripped(verify_turan_bound(4))
 
 
