@@ -20,6 +20,12 @@ integers, which orders the coordinates exactly as their rationals do.
 The pair predicates (:func:`intervals_strictly_nested`,
 :func:`boxes_intersect`, :func:`is_transverse_pair`) compare the
 rationals themselves and serve as the literal reference.
+
+The random and extremal families are drawn as integer rows on a fixed
+grid (numerators over ``_GRID`` for the layered families, over 2 for the
+general ones) and converted to Fractions once; the box claim of
+:mod:`dagx.harness` decides the rows directly and builds a family only to
+list it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+
+import numpy as np
 
 from .errors import DagxError, DegenerateIntervalError, InvalidParamsError, ParseError
 from .graph import Dag
@@ -167,6 +176,17 @@ def _nests(r: tuple, s: tuple) -> bool:
     return s[0] < r[0] and r[1] < s[1] and r[2] < s[2] and s[3] < r[3]
 
 
+def _offenders(rows) -> list[tuple[int, int]]:
+    """The pairs i < j, by i then j, of rows on one grid whose boxes intersect with neither nesting in the other."""
+    out = []
+    for i, r in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            s = rows[j]
+            if r[0] <= s[1] and s[0] <= r[1] and r[2] <= s[3] and s[2] <= r[3] and not (_nests(r, s) or _nests(s, r)):
+                out.append((i, j))
+    return out
+
+
 def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]]:
     """Check that every pair is disjoint or transverse; report offenders.
 
@@ -175,14 +195,8 @@ def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]
     direction, and nested intervals always overlap, so a pair offends iff
     the boxes intersect and neither nests in the other.
     """
-    offenders = []
     ids = family.ids
-    rows = _integer_rows(family)
-    for i, r in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            s = rows[j]
-            if r[0] <= s[1] and s[0] <= r[1] and r[2] <= s[3] and s[2] <= r[3] and not (_nests(r, s) or _nests(s, r)):
-                offenders.append((ids[i], ids[j]))
+    offenders = [(ids[i], ids[j]) for i, j in _offenders(_integer_rows(family))]
     return not offenders, offenders
 
 
@@ -200,38 +214,62 @@ def directed_intersection_graph(family: BoxFamily) -> Dag:
 _GRID = 320
 
 
-def _layered_boxes(columns: int, frames: int, slats: int, rng=None) -> list[tuple[str, Box]]:
-    """Columns x_i, frames y_j and slats z_k of :func:`extremal_box_family`, each coordinate plus a jitter.
+@cache
+def _layered_table(columns: int, frames: int, slats: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """(ids, draws, order) of the columns x_i, frames y_j and slats z_k of :func:`extremal_box_family`.
 
-    Without ``rng`` every jitter is 0. With a numpy Generator, each
-    coordinate draws one integer ``rng.integers(lo, hi + 1)``, a numerator
-    over 16 (over _GRID for the slats' vertical coordinates), in the order
-    ix_lo, ix_hi, jy_lo, jy_hi for columns and frames and jy_lo, jy_hi,
-    ix_lo, ix_hi for slats. Each coordinate is built as one Fraction over
-    _GRID from its base, given in units of 1/_GRID.
+    ``draws`` has one column per coordinate, in draw order: ix_lo, ix_hi,
+    jy_lo, jy_hi for columns and frames and jy_lo, jy_hi, ix_lo, ix_hi for
+    slats. Its rows are the coordinate's base (a numerator over _GRID),
+    the jitter's bounds lo and hi + 1, and the jitter's step: 20 for a
+    jitter over 16, 1 for one over _GRID (the slats' vertical
+    coordinates). ``values[order]`` puts values in draw order into rows
+    (ix_lo, ix_hi, jy_lo, jy_hi), box after box.
     """
+    ids: list[str] = []
+    draws: list[tuple[int, int, int, int]] = []
+    slots: list[int] = []
 
-    def at(base: int, lo: int, hi: int, den: int = 16) -> Fraction:
-        jitter = 0 if rng is None else int(rng.integers(lo, hi + 1))
-        return Fraction(base + jitter * (_GRID // den), _GRID)
+    def add(ident: str, coords: list[tuple[int, int, int, int, int]]) -> None:
+        # coords: (slot in the row, base, lo, hi, den), in draw order.
+        for slot, at, lo, hi, den in coords:
+            draws.append((at, lo, hi + 1, _GRID // den))
+            slots.append(4 * len(ids) + slot)
+        ids.append(ident)
 
-    entries = []
+    g = _GRID
     for i in range(1, columns + 1):
-        x = box(at(2 * i * _GRID, -9, 0), at((2 * i + 1) * _GRID, 0, 9), at(-10 * _GRID, -5, 5), at(10 * _GRID, -5, 5))
-        entries.append((f"x{i}", x))
+        coords = [(0, 2 * i * g, -9, 0), (1, (2 * i + 1) * g, 0, 9), (2, -10 * g, -5, 5), (3, 10 * g, -5, 5)]
+        add(f"x{i}", [(*c, 16) for c in coords])
     for j in range(1, frames + 1):
-        y = box(
-            at(-(20 + j) * _GRID, -12, 12),
-            at((20 + j) * _GRID, -12, 12),
-            at(-(10 - j) * _GRID, -12, 12),
-            at((10 - j) * _GRID, -12, 12),
-        )
-        entries.append((f"y{j}", y))
+        coords = [(0, -(20 + j) * g), (1, (20 + j) * g), (2, -(10 - j) * g), (3, (10 - j) * g)]
+        add(f"y{j}", [(slot, at, -12, 12, 16) for slot, at in coords])
     for k in range(1, slats + 1):
-        lo = at(k * _GRID // 10, -3, 3, _GRID)
-        hi = at(k * _GRID // 10 + _GRID // 20, -3, 3, _GRID)
-        entries.append((f"z{k}", box(at(-40 * _GRID, -9, 9), at(40 * _GRID, -9, 9), lo, hi)))
-    return entries
+        lo = k * g // 10
+        add(f"z{k}", [(2, lo, -3, 3, g), (3, lo + g // 20, -3, 3, g), (0, -40 * g, -9, 9, 16), (1, 40 * g, -9, 9, 16)])
+    table = np.array(draws, dtype=np.int64).reshape(-1, 4).T
+    order = np.argsort(slots)
+    for array in (table, order):
+        array.flags.writeable = False
+    return tuple(ids), table, order
+
+
+def _layered_rows(columns: int, frames: int, slats: int, rng=None) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, rows) of the layered boxes, numerators over _GRID, each coordinate plus a jitter.
+
+    Without ``rng`` every jitter is 0. With a numpy Generator, one call
+    ``rng.integers(lows, highs)`` draws every jitter, in the draw order
+    of :func:`_layered_table`; it yields the stream of one scalar
+    ``rng.integers(lo, hi + 1)`` per coordinate in that order.
+    """
+    ids, (base, low, high, step), order = _layered_table(columns, frames, slats)
+    values = base if rng is None else base + rng.integers(low, high) * step
+    return ids, values[order].reshape(-1, 4)
+
+
+def _family_from_rows(ids, rows: np.ndarray, den: int) -> BoxFamily:
+    """The family whose box ``ids[i]`` has the coordinates ``rows[i] / den``."""
+    return BoxFamily(tuple((i, box(*(Fraction(c, den) for c in row))) for i, row in zip(ids, rows.tolist())))
 
 
 def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
@@ -255,21 +293,62 @@ def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
             f"spec {spec} exceeds the default coordinate scale "
             f"(need r <= 9, l <= 10, s/10 + 1/20 < 11 - l)"
         )
-    return BoxFamily(tuple(_layered_boxes(r, l - 1, s)))
+    return _family_from_rows(*_layered_rows(r, l - 1, s), _GRID)
+
+
+@cache
+def _general_table(count: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, lows) of :func:`random_box_family`: ids b0.., and per drawn number its low bound."""
+    lows = np.tile(np.array([-40, -40, 1, 1], dtype=np.int64), count)
+    lows.flags.writeable = False
+    return tuple(f"b{i}" for i in range(count)), lows
+
+
+# (x0, y0, w, h) @ _CORNERS == (x0, x0 + w, y0, y0 + h)
+_CORNERS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
+
+
+def _general_rows(count: int, rng) -> tuple[tuple[str, ...], np.ndarray]:
+    """(ids, rows) of :func:`random_box_family`, the rows numerators over 2.
+
+    One call ``rng.integers(lows, 40)`` draws x0, y0, width and height of
+    each box in turn, the stream of one scalar draw per number.
+    """
+    ids, lows = _general_table(count)
+    return ids, rng.integers(lows, 40).reshape(count, 4) @ _CORNERS
 
 
 def random_box_family(count: int, seed) -> BoxFamily:
     """Unconstrained random boxes on a half-integer grid."""
     if count < 1:
         raise InvalidParamsError(f"need count >= 1, got {count}")
-    rng = _rng(seed)
-    entries = []
-    for i in range(count):
-        # Half-grid numerators, drawn in the order x0, y0, width, height.
-        x0, y0, w, h = (int(rng.integers(lo, 40)) for lo in (-40, -40, 1, 1))
-        ix = Interval(Fraction(x0, 2), Fraction(x0 + w, 2))
-        entries.append((f"b{i}", Box(ix, Interval(Fraction(y0, 2), Fraction(y0 + h, 2)))))
-    return BoxFamily(tuple(entries))
+    return _family_from_rows(*_general_rows(count, _rng(seed)), 2)
+
+
+def _transverse_rows(rng) -> tuple[tuple[str, ...], np.ndarray]:
+    """The family :func:`random_transverse_family` draws from ``rng``, as (ids, rows over _GRID).
+
+    Each draw takes the three layer sizes, every jitter in one call and
+    the keep mask in one ``rng.random(k)``, and is validated on its
+    integer rows by the pair rule of :func:`is_transverse_family`.
+    """
+    for _ in range(16):
+        r = int(rng.integers(0, 5))
+        lm = int(rng.integers(0, 5))
+        s = int(rng.integers(0, 5))
+        if r + lm + s == 0:
+            continue
+        # Column widths stay positive (lo only shifts down, hi only up)
+        # but neighboring columns can be pushed into overlap, and frame
+        # nesting margins are 1 against jitter spreads above 1, so some
+        # draws fail validation below.
+        ids, rows = _layered_rows(r, lm, s, rng)
+        keep = rng.random(len(ids)) < 0.8
+        if keep.any():
+            ids, rows = tuple(i for i, kept in zip(ids, keep) if kept), rows[keep]
+        if not _offenders(rows.tolist()):
+            return ids, rows
+    raise DagxError("no transverse family obtained after 16 draws")
 
 
 def random_transverse_family(seed) -> BoxFamily:
@@ -281,26 +360,7 @@ def random_transverse_family(seed) -> BoxFamily:
     validation occasionally fails, in which case the draw is rejected
     and retried, up to 16 draws.
     """
-    rng = _rng(seed)
-    for _ in range(16):
-        r = int(rng.integers(0, 5))
-        lm = int(rng.integers(0, 5))
-        s = int(rng.integers(0, 5))
-        if r + lm + s == 0:
-            continue
-        # Column widths stay positive (lo only shifts down, hi only up)
-        # but neighboring columns can be pushed into overlap, and frame
-        # nesting margins are 1 against jitter spreads above 1, so some
-        # draws fail validation below.
-        entries = _layered_boxes(r, lm, s, rng)
-        kept = [e for e in entries if rng.random() < 0.8]
-        if not kept:
-            kept = entries
-        family = BoxFamily(tuple(kept))
-        ok, _ = is_transverse_family(family)
-        if ok:
-            return family
-    raise DagxError("no transverse family obtained after 16 draws")
+    return _family_from_rows(*_transverse_rows(_rng(seed)), _GRID)
 
 
 CSV_HEADER = ("id", "ix_lo", "ix_hi", "jy_lo", "jy_hi")

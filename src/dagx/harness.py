@@ -8,7 +8,9 @@ predicates are cross-checked bit-for-bit against the literal brute-force
 oracles. The theorem, equiv-transitive, closure and separations sweeps
 read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, whose tests check it against the scalar predicates
-on every DAG with n <= 6.
+on every DAG with n <= 6. The box trials draw each random family as
+integer rows and decide a block of families with one reach-kernel call;
+a family is built as Fractions only when a report lists it.
 
 Scans partition the enumeration index range across a worker pool; shards
 share nothing and merge associatively, so reports are identical for any
@@ -22,6 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice, product
 from math import comb
@@ -31,14 +34,15 @@ import numpy as np
 
 from .bounds import reduced_dag_edge_bound, turan_graph_edges
 from .boxes import (
+    _GRID,
     BoxFamily,
-    boxes_intersect,
+    _family_from_rows,
+    _general_rows,
+    _transverse_rows,
     directed_intersection_graph,
     extremal_box_family,
     format_box_csv,
     is_transverse_family,
-    random_box_family,
-    random_transverse_family,
 )
 from .errors import InvalidParamsError, LimitExceededError, UnknownClaimError
 from .generators import (
@@ -56,8 +60,6 @@ from .graph import (
     Dag,
     format_edge_list,
     longest_path_length,
-    reach_from_masks,
-    reach_to_masks,
 )
 from .predicates import (
     DEFAULT_PATH_CAP,
@@ -66,9 +68,8 @@ from .predicates import (
     is_reduced_bruteforce,
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
-    is_transitive,
 )
-from .kernels import _blocks, _edge_rows, _levels_chunk, _reach_verdicts
+from .kernels import BoxGraphs, ReachVerdicts, _bit, _blocks, _box_graphs, _edge_rows, _levels_chunk, _reach_verdicts
 
 DEFAULT_SEED = 271828
 
@@ -180,6 +181,25 @@ class _Sample:
         return self.entries + further
 
 
+class _Pool(ExitStack):
+    """Worker processes, started on first use and shut down on exit."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._executor: ProcessPoolExecutor | None = None
+
+    def map(self, processes: int, scan: Callable[..., dict], args: tuple, shards: list[tuple[int, int]]) -> list[dict]:
+        if self._executor is None:
+            self._executor = self.enter_context(ProcessPoolExecutor(max_workers=processes))
+        futures = [self._executor.submit(scan, *args, a, b) for a, b in shards]
+        return [f.result() for f in futures]
+
+
+# The pool of the verify_claim call in progress in this thread: every sweep
+# it runs shares it, so a run of several claims starts its workers once.
+_claim_pool: ContextVar[_Pool | None] = ContextVar("_claim_pool", default=None)
+
+
 class _Sweep(ExitStack):
     """One claim's sweep: sharding, one worker pool, merged counts and sample, the report.
 
@@ -188,7 +208,8 @@ class _Sweep(ExitStack):
     claim-specific counts; ``run`` counts every index of its range as
     checked. A range is cut into ``workers`` shards whatever the machine,
     so merged reports are identical for every worker count; the shards
-    run in one pool, opened on first use, of at most one process per CPU.
+    run in one pool of at most one process per CPU, the sweep's own or,
+    inside :func:`verify_claim`, the call's.
     """
 
     def __init__(self, workers: int):
@@ -197,7 +218,7 @@ class _Sweep(ExitStack):
         self.workers = workers
         self.checked = 0
         self.sample = _Sample()
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool = _claim_pool.get() or self.enter_context(_Pool())
         self._t0 = time.perf_counter()
 
     def run(self, scan: Callable[..., dict], total: int, *args) -> list[dict]:
@@ -210,10 +231,7 @@ class _Sweep(ExitStack):
         if processes <= 1:
             parts = [scan(*args, a, b) for a, b in shards]
         else:
-            if self._pool is None:
-                self._pool = self.enter_context(ProcessPoolExecutor(max_workers=processes))
-            futures = [self._pool.submit(scan, *args, a, b) for a, b in shards]
-            parts = [f.result() for f in futures]
+            parts = self._pool.map(processes, scan, args, shards)
         self.checked += total
         for part in parts:
             self.sample.extend(part["sample"].count, part["sample"].entries)
@@ -685,32 +703,65 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
 # Box family properties.
 
 
+# Random families per kernel call. On a 2-core x86 box, sweep-predicates'
+# peak RSS rose 1.3 MB over the per-family route with 1024 families per
+# block and 0.6 MB with 256; the smaller blocks cost verify_box_props(1000)
+# about 10 ms (0.13 s in all).
+_BOX_BLOCK = 256
+
+
+def _box_trials(
+    seed: int, start: int, stop: int, draw: Callable
+) -> Iterator[tuple[int, list, BoxGraphs, ReachVerdicts]]:
+    """(a, drawn, graphs, verdicts) per block of trials from a on; ``draw(seed, t)`` gives trial t's (ids, rows)."""
+    for a in range(start, stop, _BOX_BLOCK):
+        drawn = [draw(seed, t) for t in range(a, min(a + _BOX_BLOCK, stop))]
+        graphs = _box_graphs([rows for _, rows in drawn])
+        yield a, drawn, graphs, _reach_verdicts(graphs.succ, graphs.pred)
+
+
+def _draw_transverse(seed: int, t: int) -> tuple:
+    return _transverse_rows(np.random.default_rng((seed, 0, t)))
+
+
+def _draw_general(seed: int, t: int) -> tuple:
+    rng = np.random.default_rng((seed, 1, t))
+    return _general_rows(int(rng.integers(2, 13)), rng)
+
+
 def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
     sample = _Sample()
-    for t in range(start, stop):
-        family = random_transverse_family((seed, 0, t))
-        g = directed_intersection_graph(family)
-        if not (is_extremely_reduced(g) and is_transitive(g)):
-            sample.add(_box_entry(family, f"transverse trial {t}: graph not extremely reduced + transitive"))
+    for a, drawn, _, v in _box_trials(seed, start, stop, _draw_transverse):
+        hits = np.flatnonzero(~(v.extremely & v.transitive)).tolist()
+        detail = "transverse trial {}: graph not extremely reduced + transitive"
+        entries = (_box_entry(_family_from_rows(*drawn[j], _GRID), detail.format(a + j)) for j in hits)
+        sample.extend(len(hits), entries)
     return {"sample": sample}
 
 
 def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
+    # Pair (x, y), x < y, of each graph's labels is joined when the boxes
+    # share an ancestor and a descendant; a joined pair must intersect.
     sample = _Sample()
-    for t in range(start, stop):
-        rng = np.random.default_rng((seed, 1, t))
-        family = random_box_family(int(rng.integers(2, 13)), rng)
-        g = directed_intersection_graph(family)
-        rf = reach_from_masks(g)
-        rt = reach_to_masks(g)
-        boxes = family.boxes
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                if rt[i] & rt[j] and rf[i] & rf[j] and not boxes_intersect(boxes[i], boxes[j]):
-                    pair = f"{family.ids[i]},{family.ids[j]}"
-                    detail = f"general trial {t}: boxes {pair} share ancestor and descendant but do not intersect"
-                    sample.add(_box_entry(family, detail))
-    return {"sample": sample}
+    joined_pairs = 0
+    for a, drawn, graphs, v in _box_trials(seed, start, stop, _draw_general):
+        xs, ys = np.triu_indices(graphs.succ.shape[0], 1)
+        # Labels past a family's size are padding, never part of a pair.
+        joined = (v.rt[xs] & v.rt[ys] != 0) & (v.rf[xs] & v.rf[ys] != 0) & (ys[:, None] < graphs.sizes)
+        apart = joined & (_bit(graphs.meet[xs], ys[:, None]) == 0)
+        joined_pairs += int(np.count_nonzero(joined))
+
+        def entries(j: int) -> Iterator[dict]:
+            ids, rows = drawn[j]
+            family = _family_from_rows(ids, rows, 2)
+            order = graphs.order[j]
+            for i, k in sorted(sorted((order[xs[p]], order[ys[p]])) for p in np.flatnonzero(apart[:, j])):
+                detail = f"boxes {ids[i]},{ids[k]} share ancestor and descendant but do not intersect"
+                yield _box_entry(family, f"general trial {a + j}: {detail}")
+
+        hits = np.flatnonzero(apart.any(axis=0)).tolist()
+        sample.extend(int(np.count_nonzero(apart)), (entry for j in hits for entry in entries(j)))
+    return {"sample": sample, "joined": joined_pairs}
 
 
 def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: int = 1) -> VerificationReport:
@@ -718,16 +769,20 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     ancestor plus common descendant forces intersecting boxes; the extremal
     family reproduces the extremal graph exactly.
 
-    At the default seed the 1,000 general families contain no pair with both a common ancestor and
-    a common descendant, so they check the middle claim vacuously; ROADMAP item 4 replaces them once
-    a benchmark change re-pins the ``boxes`` count."""
+    Both random trial kinds draw each family as integer rows and decide a
+    block of families with one call of the reach kernel. The general
+    families rarely contain a pair with both a common ancestor and a
+    common descendant, so the middle claim may be checked vacuously;
+    ``params["general_joined_pairs"]`` counts the pairs it was checked
+    on: 0 at seeds 0, 1, 5 and the default. ROADMAP item 4 replaces the
+    general trials once a benchmark change re-pins the ``boxes`` count."""
     if trials < 0:
         raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")
     if seed < 0:
         raise InvalidParamsError(f"boxes: need seed >= 0, got {seed}")
     with _Sweep(workers) as sweep:
         sweep.run(_scan_transverse_boxes, trials, seed)
-        sweep.run(_scan_general_boxes, trials, seed)
+        joined_pairs = sum(part["joined"] for part in sweep.run(_scan_general_boxes, trials, seed))
 
     specs = [ExtremalSpec(r=r, l=l, s=s) for r, l, s in product(range(1, 6), range(2, 6), range(6))]
     for spec in specs:
@@ -741,7 +796,7 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     return sweep.report(
         "box-properties",
         f"{trials} transverse + {trials} general random families + {len(specs)} extremal specs",
-        {"trials": trials, "seed": seed, "extremal_specs": len(specs)},
+        {"trials": trials, "seed": seed, "extremal_specs": len(specs), "general_joined_pairs": joined_pairs},
     )
 
 
@@ -776,7 +831,7 @@ def verify_claim(claim: str, *, max_n: int | None = None, workers: int = 1) -> l
     function: its range, 1000 random trials, the default seed. boxes has
     no range and refuses a given ``max_n``; under ``all`` it runs without
     one, and every other claim takes ``max_n`` clamped to its own ceiling
-    instead of erroring.
+    instead of erroring. Every sweep of the call shares one worker pool.
     """
     if claim not in CLAIMS:
         raise UnknownClaimError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
@@ -784,8 +839,15 @@ def verify_claim(claim: str, *, max_n: int | None = None, workers: int = 1) -> l
     if max_n is not None and claim != "all" and _CLAIM_TABLE[claim][0] is None:
         raise InvalidParamsError(f"{claim} does not take max_n; it has no enumeration range")
     reports: list[VerificationReport] = []
-    for name in _CLAIM_TABLE if claim == "all" else (claim,):
-        ceiling, runner = _CLAIM_TABLE[name]
-        given = {} if max_n is None or ceiling is None else {"max_n": min(max_n, ceiling) if claim == "all" else max_n}
-        reports += runner(workers, **given)
+    with _Pool() as pool:
+        token = _claim_pool.set(pool)
+        try:
+            for name in _CLAIM_TABLE if claim == "all" else (claim,):
+                ceiling, runner = _CLAIM_TABLE[name]
+                if max_n is None or ceiling is None:
+                    reports += runner(workers)
+                else:
+                    reports += runner(workers, max_n=min(max_n, ceiling) if claim == "all" else max_n)
+        finally:
+            _claim_pool.reset(token)
     return reports

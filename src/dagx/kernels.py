@@ -8,6 +8,10 @@ and then works on one numpy row per vertex (or pair), so a block of
 thousands of graphs costs O(n^2) numpy operations instead of one
 Python-level graph check per index. Every graph here is forward-labeled:
 edges run from lower to higher vertices.
+
+:func:`_box_graphs` feeds the reach kernel from geometry instead: the
+directed intersection graphs of a block of random box families, each
+relabeled by box width into a forward-labeled graph.
 """
 
 from __future__ import annotations
@@ -170,3 +174,58 @@ def _reach_verdicts(succ: np.ndarray, pred: np.ndarray) -> ReachVerdicts:
         for q in range(a + 1, n):
             strongly &= (_bit(crossing, q) == 0) | (pred[q] & rt[a] == 0)
     return ReachVerdicts(rf, rt, transitive, reduced, strongly, extremely)
+
+
+class BoxGraphs(NamedTuple):
+    """The directed intersection graphs of a block of box families, one column per family.
+
+    Vertex v of family t's graph is its box ``order[t, v]``; the first
+    ``sizes[t]`` vertices are its boxes and the rest padding.
+    """
+
+    order: np.ndarray
+    sizes: np.ndarray
+    succ: np.ndarray
+    pred: np.ndarray
+    meet: np.ndarray  # meet[v]: the vertices whose boxes intersect v's (v itself included)
+
+
+def _box_graphs(families: list[np.ndarray]) -> BoxGraphs:
+    """The (succ, pred) rows of each family's directed intersection graph, and its meet rows.
+
+    Family t is an integer array of rows (ix_lo, ix_hi, jy_lo, jy_hi),
+    on one grid per family as :func:`dagx.boxes._integer_rows` gives
+    them. The families are padded to k boxes, the size of the largest,
+    and each is relabeled by horizontal width with a stable sort, the
+    padding placed last.
+
+    The relabeling is a topological order. An edge i -> j puts i's
+    horizontal interval strictly inside j's, so i is strictly narrower,
+    and width strictly grows along every edge; boxes of equal width are
+    never adjacent. The graphs are therefore forward-labeled, as
+    :func:`_reach_verdicts` needs. Padding vertices nest with nothing and
+    meet nothing, so they are isolated: they change no class verdict and
+    join no pair.
+    """
+    sizes = np.array([len(rows) for rows in families])
+    size, k = len(families), int(sizes.max())
+    coords = np.zeros((size, k, 4), dtype=np.int64)
+    for t, rows in enumerate(families):
+        coords[t, : len(rows)] = rows
+    real = np.arange(k) < sizes[:, None]
+    width = np.where(real, coords[:, :, 1] - coords[:, :, 0], np.iinfo(np.int64).max)
+    order = np.argsort(width, axis=1, kind="stable")
+    xl, xh, yl, yh = np.moveaxis(np.take_along_axis(coords, order[:, :, None], axis=1), 2, 0)
+    # [:, :, None] is vertex a, [:, None, :] vertex b; padding stays last, so ``real`` still marks the boxes.
+    both = real[:, :, None] & real[:, None, :]
+    a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
+    nest = both & (xl[b] < xl[a]) & (xh[a] < xh[b]) & (yl[a] < yl[b]) & (yh[b] < yh[a])
+    meet = both & (xl[a] <= xh[b]) & (xl[b] <= xh[a]) & (yl[a] <= yh[b]) & (yl[b] <= yh[a])
+    dtype = _row_dtype(k)
+    weight = (1 << np.arange(k)).astype(dtype)
+
+    def rows(relation: np.ndarray) -> np.ndarray:
+        # Row a of the result is the bitmask of the b with relation[t, a, b], one column per family.
+        return np.ascontiguousarray(np.bitwise_or.reduce(relation * weight, axis=2).T)
+
+    return BoxGraphs(order, sizes, rows(nest), rows(nest.transpose(0, 2, 1)), rows(meet))

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,6 +385,83 @@ z3,-635/16,317/8,19/64,113/320
             g = directed_intersection_graph(random_transverse_family(seed))
             assert is_extremely_reduced(g)
             assert is_transitive(g)
+
+
+def scalar_layered(columns: int, frames: int, slats: int, rng) -> list:
+    """The jittered layered boxes drawn one scalar ``rng.integers`` per coordinate, each built as a Fraction."""
+
+    def at(base: int, lo: int, hi: int, den: int = 16) -> Fraction:
+        return Fraction(base + int(rng.integers(lo, hi + 1)) * (320 // den), 320)
+
+    entries = []
+    for i in range(1, columns + 1):
+        x = box(at(640 * i, -9, 0), at(320 * (2 * i + 1), 0, 9), at(-3200, -5, 5), at(3200, -5, 5))
+        entries.append((f"x{i}", x))
+    for j in range(1, frames + 1):
+        w, h = (20 + j) * 320, (10 - j) * 320
+        entries.append((f"y{j}", box(at(-w, -12, 12), at(w, -12, 12), at(-h, -12, 12), at(h, -12, 12))))
+    for k in range(1, slats + 1):
+        lo, hi = at(32 * k, -3, 3, 320), at(32 * k + 16, -3, 3, 320)
+        entries.append((f"z{k}", box(at(-12800, -9, 9), at(12800, -9, 9), lo, hi)))
+    return entries
+
+
+def scalar_transverse_family(seed) -> BoxFamily:
+    """random_transverse_family with one scalar draw per number, as the batched draws must reproduce."""
+    rng = np.random.default_rng(seed)
+    for _ in range(16):
+        r, lm, s = (int(rng.integers(0, 5)) for _ in range(3))
+        if r + lm + s == 0:
+            continue
+        entries = scalar_layered(r, lm, s, rng)
+        kept = [e for e in entries if rng.random() < 0.8] or entries
+        family = BoxFamily(tuple(kept))
+        if is_transverse_family(family)[0]:
+            return family
+    raise DagxError("no transverse family obtained after 16 draws")
+
+
+def scalar_box_family(count: int, rng) -> BoxFamily:
+    entries = []
+    for i in range(count):
+        x0, y0, w, h = (int(rng.integers(lo, 40)) for lo in (-40, -40, 1, 1))
+        entries.append((f"b{i}", box(Fraction(x0, 2), Fraction(x0 + w, 2), Fraction(y0, 2), Fraction(y0 + h, 2))))
+    return BoxFamily(tuple(entries))
+
+
+class TestRowDrawers:
+    """Each family is drawn as integer rows with one batched jitter call and one keep-mask call."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 271828])
+    def test_batched_draws_give_the_scalar_streams(self, seed):
+        for t in range(250):
+            assert random_transverse_family((seed, 0, t)) == scalar_transverse_family((seed, 0, t))
+            a, b = np.random.default_rng((seed, 1, t)), np.random.default_rng((seed, 1, t))
+            assert random_box_family(int(a.integers(2, 13)), a) == scalar_box_family(int(b.integers(2, 13)), b)
+
+    @staticmethod
+    def assert_rows_of(rows: np.ndarray, den: int, family: BoxFamily) -> None:
+        """``rows / den`` are the family's coordinates, and so proportional to its :func:`_integer_rows`."""
+        scaled = np.array(boxes_module._integer_rows(family), dtype=np.int64)
+        common = math.lcm(*(c.denominator for b in family.boxes for c in (b.ix.lo, b.ix.hi, b.jy.lo, b.jy.hi)))
+        assert np.array_equal(scaled * den, rows * common)
+
+    def test_rows_are_the_public_families(self):
+        for seed in range(200):
+            ids, rows = boxes_module._transverse_rows(np.random.default_rng(seed))
+            family = random_transverse_family(seed)
+            assert ids == family.ids
+            self.assert_rows_of(rows, boxes_module._GRID, family)
+            count = 1 + seed % 12
+            ids, rows = boxes_module._general_rows(count, np.random.default_rng(seed))
+            family = random_box_family(count, seed)
+            assert ids == family.ids
+            self.assert_rows_of(rows, 2, family)
+        for r, l, s in [(1, 1, 0), (4, 5, 4), (9, 10, 9), (2, 2, 89)]:
+            ids, rows = boxes_module._layered_rows(r, l - 1, s)
+            family = extremal_box_family(ExtremalSpec(r, l, s))
+            assert ids == family.ids
+            self.assert_rows_of(rows, boxes_module._GRID, family)
 
 
 class TestBoxCsv:

@@ -1,6 +1,7 @@
 import inspect
 import json
 from concurrent.futures import Future
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -26,6 +27,7 @@ from dagx import (
     verify_turan_bound,
 )
 from dagx.bounds import turan_graph_edges
+from dagx.boxes import boxes_intersect, random_box_family
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import format_edge_list, longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
@@ -43,6 +45,35 @@ def stripped(report: VerificationReport) -> dict:
     d = report.to_dict()
     d["elapsed_ms"] = 0
     return d
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every pool a sweep opens; the pools run each task at once and start no process.
+
+    A test that patches ``harness`` and runs shards through a pool needs
+    this: a worker started by spawn (the macOS and Windows default)
+    imports the unpatched module.
+    """
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
 
 
 class TestReportShape:
@@ -185,12 +216,12 @@ class TestTheoremAgainstDefinition:
     check runs at the real block size, where n <= 6 fits in one block, and
     again with 1000-mask blocks, so that the maximum is carried from block
     to block; three workers cut n = 6 into shards that start inside a
-    block.
+    block, run in process so that they see the patched block size.
     """
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
-    def test_class_max(self, monkeypatch, class_members, klass, workers):
+    def test_class_max(self, monkeypatch, pool_sizes, class_members, klass, workers):
         expected = {}
         for n, ell, edges in class_members[klass]:
             if ell >= 1:
@@ -205,7 +236,7 @@ class TestTheoremAgainstDefinition:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
     @pytest.mark.parametrize("lower", [lambda bound: bound - 1, lambda bound: 0], ids=["by-one", "to-zero"])
-    def test_violations_with_the_bound_lowered(self, monkeypatch, class_members, klass, workers, lower):
+    def test_violations_with_the_bound_lowered(self, monkeypatch, pool_sizes, class_members, klass, workers, lower):
         real = harness.reduced_dag_edge_bound
         lowered = lambda n, ell: lower(real(n, ell))
         monkeypatch.setattr(harness, "reduced_dag_edge_bound", lowered)
@@ -217,7 +248,7 @@ class TestTheoremAgainstDefinition:
             assert counted_violations(report, f"class {klass!r}:") == expected
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_turan_max(self, monkeypatch, class_members, workers):
+    def test_turan_max(self, monkeypatch, pool_sizes, class_members, workers):
         expected = {}
         for n, ell, edges in class_members["all"]:
             expected[f"{n},{ell}"] = max(expected.get(f"{n},{ell}", -1), edges)
@@ -227,7 +258,7 @@ class TestTheoremAgainstDefinition:
 
     # Lowered by one, the edgeless graphs (t(n, 1) = 0) violate too.
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_turan_violations_with_the_bound_lowered(self, monkeypatch, class_members, workers):
+    def test_turan_violations_with_the_bound_lowered(self, monkeypatch, pool_sizes, class_members, workers):
         real = harness.turan_graph_edges
         monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: real(n, k) - 1)
         expected = sum(edges >= real(n, ell + 1) for n, ell, edges in class_members["all"])
@@ -536,34 +567,21 @@ class TestVerifyClaim:
 
 
 class TestPool:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """The size of every pool a sweep opens; the pools run each task at once and start no process."""
-        sizes = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-        return sizes
-
     def test_one_pool_of_at_most_one_process_per_cpu(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         report = verify_turan_bound(4, workers=5000)
         assert pool_sizes == [3]
         assert stripped(report) == stripped(verify_turan_bound(4))
+
+    def test_one_pool_per_verify_claim(self, monkeypatch, pool_sizes):
+        # Every sharded claim of the call runs in the same pool.
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        reports = [stripped(r) for r in verify_claim("all", max_n=4, workers=2)]
+        assert pool_sizes == [2]
+        assert reports == [stripped(r) for r in verify_claim("all", max_n=4, workers=3)]
+        assert pool_sizes == [2, 3]
+        assert reports == [stripped(r) for r in verify_claim("all", max_n=4)]
+        assert pool_sizes == [2, 3]
 
     def test_without_affinity_one_worker(self, monkeypatch):
         # os.sched_getaffinity exists only on some platforms (Linux among them).
@@ -586,10 +604,6 @@ def negated(real):
     return lambda *args: not real(*args)
 
 
-def always_false(real):
-    return lambda *args: False
-
-
 def verdict(field, change):
     """Wrap the reach kernel so that its ``field`` verdict array becomes ``change(array)``."""
 
@@ -603,10 +617,21 @@ def verdict(field, change):
     return wrap
 
 
+def every_pair_joined(real):
+    """Wrap the reach kernel so that every vertex reaches and is reached by every vertex."""
+
+    def kernel(*args):
+        v = real(*args)
+        every = np.full_like(v.rf, np.iinfo(v.rf.dtype).max)
+        return v._replace(rf=every, rt=every)
+
+    return kernel
+
+
 class TestViolationOverflow:
     """Violations past the listed sample are counted, never dropped."""
 
-    def test_turan_counts_every_violation(self, monkeypatch):
+    def test_turan_counts_every_violation(self, monkeypatch, pool_sizes):
         # With every bound at 0, each of the 71 graphs with an edge (n <= 4)
         # violates. The per-(n, ell) summary entries are listed as well but
         # take no slot, so all 20 slots go to graphs.
@@ -617,7 +642,7 @@ class TestViolationOverflow:
         assert overflow_detail(report) == "51 further violations not listed"
         assert stripped(verify_turan_bound(4, workers=3)) == stripped(report)
 
-    def test_theorem_counts_every_violation(self, monkeypatch):
+    def test_theorem_counts_every_violation(self, monkeypatch, pool_sizes):
         # With every class bound at 0, each extremely reduced graph with an
         # edge violates; the summary entries again take no slot.
         members = sum(
@@ -641,8 +666,9 @@ class TestViolationOverflow:
             ("_reach_verdicts", verdict("extremely", np.logical_not), lambda: verify_equivalence_transitive(5), 407),
             # No closure is transitive: every graph on n <= 4 fails once.
             ("_reach_verdicts", verdict("transitive", np.zeros_like), lambda: verify_closure(4), 75),
-            # Every transverse family's graph now fails the transitivity check.
-            ("is_transitive", always_false, lambda: verify_box_props(25, seed=3), 25),
+            # Every transverse family's graph now fails the transitivity check;
+            # the general trials read no transitivity verdict.
+            ("_reach_verdicts", verdict("transitive", np.zeros_like), lambda: verify_box_props(25, seed=3), 25),
         ],
         ids=["implications", "random-agreement", "equiv", "closure", "boxes"],
     )
@@ -653,7 +679,7 @@ class TestViolationOverflow:
         assert overflow_detail(report) == f"{total - 20} further violations not listed"
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_closure_one_violation_per_reduced_input(self, monkeypatch, workers):
+    def test_closure_one_violation_per_reduced_input(self, monkeypatch, pool_sizes, workers):
         # With every closure's extremely-reduced verdict negated, each
         # reduced input gets its own entry.
         reduced = sum(is_reduced(dag_from_index(n, mask)) for n in range(1, 5) for mask in range(dag_count(n)))
@@ -667,15 +693,10 @@ class TestViolationOverflow:
         }
 
     @pytest.mark.parametrize("trial_kind", ["transverse", "general"])
-    def test_box_props_sharded_with_violations(self, monkeypatch, trial_kind):
-        if trial_kind == "transverse":
-            real = harness.is_extremely_reduced
-            monkeypatch.setattr(harness, "is_extremely_reduced", lambda *args: not real(*args))
-        else:
-            # Every pair then shares an ancestor and a descendant, so every
-            # disjoint pair of boxes is a violation.
-            for rows in ("reach_from_masks", "reach_to_masks"):
-                monkeypatch.setattr(harness, rows, lambda g: ((1 << g.n) - 1,) * g.n)
+    def test_box_props_sharded_with_violations(self, monkeypatch, pool_sizes, trial_kind):
+        # With every pair joined, every disjoint pair of general boxes is a violation.
+        wrong = verdict("extremely", np.logical_not) if trial_kind == "transverse" else every_pair_joined
+        monkeypatch.setattr(harness, "_reach_verdicts", wrong(harness._reach_verdicts))
         report = verify_box_props(60, seed=5)
         assert report.violations[0]["detail"].startswith(trial_kind)
         assert overflow_detail(report).endswith("further violations not listed")
@@ -689,3 +710,23 @@ class TestViolationOverflow:
         assert details[0] == "reduced fast=True disagrees with brute force"
         assert [d.split(": ")[0] for d in details[1:]] == ["trial 0", "trial 1", "trial 2"]
         assert all(d.endswith("disagrees with brute force") for d in details[1:])
+
+    def test_general_listing_in_family_order(self, monkeypatch):
+        # With every pair joined, the listed pairs of each general trial are
+        # its disjoint pairs in family order, as the Fraction predicates see
+        # them, and every one is counted.
+        monkeypatch.setattr(harness, "_reach_verdicts", every_pair_joined(harness._reach_verdicts))
+        monkeypatch.setattr(harness, "_BOX_BLOCK", 7)
+        want, pairs = [], 0
+        for t in range(30):
+            rng = np.random.default_rng((5, 1, t))
+            fam = random_box_family(int(rng.integers(2, 13)), rng)
+            pairs += comb(len(fam), 2)
+            for i, j in combinations(range(len(fam)), 2):
+                if not boxes_intersect(fam.boxes[i], fam.boxes[j]):
+                    pair = f"{fam.ids[i]},{fam.ids[j]}"
+                    want.append(f"general trial {t}: boxes {pair} share ancestor and descendant but do not intersect")
+        report = verify_box_props(30, seed=5)
+        assert [v["detail"] for v in report.violations[:20]] == want[:20]
+        assert overflow_detail(report) == f"{len(want) - 20} further violations not listed"
+        assert report.params["general_joined_pairs"] == pairs
