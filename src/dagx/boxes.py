@@ -17,15 +17,18 @@ The family-wide checks (:func:`directed_intersection_graph` and
 :func:`is_transverse_family`) scale every coordinate of a family to an
 integer over the family's common denominator and compare those
 integers, which orders the coordinates exactly as their rationals do.
-The pair predicates (:func:`intervals_strictly_nested`,
-:func:`boxes_intersect`, :func:`is_transverse_pair`) compare the
-rationals themselves and serve as the literal reference.
+Both read one walk over the pairs (:func:`_pair_walk`), which sorts each
+meeting pair into an edge or an offender. The pair predicates
+(:func:`intervals_strictly_nested`, :func:`boxes_intersect`,
+:func:`is_transverse_pair`) compare the rationals themselves and serve
+as the literal reference.
 
 The random and extremal families are drawn as integer rows on a fixed
 grid (numerators over ``_GRID`` for the layered families, over 2 for the
-general ones) and converted to Fractions once; the box claim of
-:mod:`dagx.harness` decides the rows directly and builds a family only to
-list it.
+general ones) and converted to Fractions once. The box claim of
+:mod:`dagx.harness` decides the rows directly, the random ones in blocks
+through the reach kernel and the extremal ones through the pair walk,
+and builds a family only to list it.
 """
 
 from __future__ import annotations
@@ -176,15 +179,26 @@ def _nests(r: tuple, s: tuple) -> bool:
     return s[0] < r[0] and r[1] < s[1] and r[2] < s[2] and s[3] < r[3]
 
 
-def _offenders(rows) -> list[tuple[int, int]]:
-    """The pairs i < j, by i then j, of rows on one grid whose boxes intersect with neither nesting in the other."""
-    out = []
+def _pair_walk(rows) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(edges, offenders) of rows on one grid, from one walk over the pairs i < j, by i then j.
+
+    A pair whose closed boxes meet is an edge when one box nests in the
+    other, directed from the nested box, and an offender otherwise.
+    Nesting boxes always meet, so every edge of the directed intersection
+    graph is found.
+    """
+    edges, offenders = [], []
     for i, r in enumerate(rows):
         for j in range(i + 1, len(rows)):
             s = rows[j]
-            if r[0] <= s[1] and s[0] <= r[1] and r[2] <= s[3] and s[2] <= r[3] and not (_nests(r, s) or _nests(s, r)):
-                out.append((i, j))
-    return out
+            if r[0] <= s[1] and s[0] <= r[1] and r[2] <= s[3] and s[2] <= r[3]:
+                if _nests(r, s):
+                    edges.append((i, j))
+                elif _nests(s, r):
+                    edges.append((j, i))
+                else:
+                    offenders.append((i, j))
+    return edges, offenders
 
 
 def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]]:
@@ -196,7 +210,7 @@ def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]
     the boxes intersect and neither nests in the other.
     """
     ids = family.ids
-    offenders = [(ids[i], ids[j]) for i, j in _offenders(_integer_rows(family))]
+    offenders = [(ids[i], ids[j]) for i, j in _pair_walk(_integer_rows(family))[1]]
     return not offenders, offenders
 
 
@@ -205,9 +219,7 @@ def directed_intersection_graph(family: BoxFamily) -> Dag:
     n = len(family)
     if n == 0:
         raise InvalidParamsError("family must contain at least one box")
-    rows = _integer_rows(family)
-    edges = [(i, j) for i, r in enumerate(rows) for j, s in enumerate(rows) if i != j and _nests(r, s)]
-    return Dag(n, edges)
+    return Dag(n, _pair_walk(_integer_rows(family))[0])
 
 
 # Every coordinate of the layered families is a multiple of 1/_GRID.
@@ -330,7 +342,7 @@ def _transverse_rows(rng) -> tuple[tuple[str, ...], np.ndarray]:
 
     Each draw takes the three layer sizes, every jitter in one call and
     the keep mask in one ``rng.random(k)``, and is validated on its
-    integer rows by the pair rule of :func:`is_transverse_family`.
+    integer rows by :func:`_pair_walk`.
     """
     for _ in range(16):
         r = int(rng.integers(0, 5))
@@ -346,7 +358,7 @@ def _transverse_rows(rng) -> tuple[tuple[str, ...], np.ndarray]:
         keep = rng.random(len(ids)) < 0.8
         if keep.any():
             ids, rows = tuple(i for i, kept in zip(ids, keep) if kept), rows[keep]
-        if not _offenders(rows.tolist()):
+        if not _pair_walk(rows.tolist())[1]:
             return ids, rows
     raise DagxError("no transverse family obtained after 16 draws")
 

@@ -42,7 +42,7 @@ class InvalidParamsError(DagxError):
 
 
 class LimitExceededError(DagxError):
-    """A requested exhaustive range exceeds the claim's ceiling."""
+    """A requested exhaustive range or graph size exceeds the package's ceiling for it."""
 
 
 class ParseError(DagxError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import _check_n_ell, balanced_parts
 from .errors import InvalidParamsError, LimitExceededError
-from .graph import Dag, Edge, bits
+from .graph import Dag, Edge, _require_edges, bits
 
 # The enumeration ceiling for every exhaustive sweep: n = 8 has 2^28
 # graphs, which the whole-block kernels sweep in 10 to 75 s per claim on
@@ -64,8 +64,13 @@ def enumerate_dags(n: int) -> Iterator[Dag]:
 
 
 def _multipartite(parts: list[int]) -> Dag:
-    """Complete multipartite graph on consecutive vertex blocks of the given sizes, oriented low block to high."""
+    """Complete multipartite graph on consecutive vertex blocks of the given sizes, oriented low block to high.
+
+    More than :data:`~dagx.graph.MAX_EDGES` edges raises
+    :class:`~dagx.errors.LimitExceededError` before any edge is built.
+    """
     n = sum(parts)
+    _require_edges((n * n - sum(p * p for p in parts)) // 2, "multipartite graph edges")
     edges = []
     lo = 0
     for size in parts:
@@ -150,10 +155,14 @@ def random_dag(n: int, p: float, seed) -> Dag:
     ``numpy.random.default_rng``, e.g. an int or a tuple of ints, so
     sharded callers can derive independent per-index streams). Draw i
     decides pair i of ``combinations(range(n), 2)``, not of :func:`pair_table`.
+    More than :data:`~dagx.graph.MAX_EDGES` draws raises
+    :class:`~dagx.errors.LimitExceededError` before any is drawn.
     """
     if not 0 <= p <= 1:
         raise InvalidParamsError(f"edge probability must be in [0, 1], got {p}")
     if n < 1:
         raise InvalidParamsError(f"vertex count must be >= 1, got {n}")
-    keep = _rng(seed).random(comb(n, 2)) < p
+    draws = comb(n, 2)
+    _require_edges(draws, "random_dag pair draws")
+    keep = _rng(seed).random(draws) < p
     return Dag(n, [pr for pr, k in zip(combinations(range(n), 2), keep) if k])

@@ -21,6 +21,7 @@ from .errors import (
     CycleError,
     DuplicateEdgeError,
     InvalidParamsError,
+    LimitExceededError,
     ParseError,
     SelfLoopError,
     VertexRangeError,
@@ -35,6 +36,19 @@ DEFAULT_ORDER_CAP = 100_000
 # per-vertex rows up front, so an unchecked header such as n 10000000000
 # would exhaust memory before any edge is read.
 MAX_EDGE_LIST_VERTICES = 65_536
+
+# The most edges a generator or the transitive closure builds. Each
+# constructor counts its edges (or random pair draws) before allocating: on
+# one core of a 2-core x86 box, `dagx gen turan-dag --n 4096 --k 2`
+# (2^22 edges) takes 12-19 s and 0.8 GB, and C(10^6, 2) draws would need
+# 4 TB.
+MAX_EDGES = 1 << 22
+
+
+def _require_edges(count: int, what: str) -> None:
+    """Refuse a build of ``count`` edges (or pair draws) above :data:`MAX_EDGES`."""
+    if count > MAX_EDGES:
+        raise LimitExceededError(f"{what}: {count} exceeds the limit MAX_EDGES = {MAX_EDGES}")
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -8,9 +8,11 @@ predicates are cross-checked bit-for-bit against the literal brute-force
 oracles. The theorem, equiv-transitive, closure and separations sweeps
 read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, whose tests check it against the scalar predicates
-on every DAG with n <= 6. The box trials draw each random family as
-integer rows and decide a block of families with one reach-kernel call;
-a family is built as Fractions only when a report lists it.
+on every DAG with n <= 6. The box claim works on integer rows
+throughout: the random trials decide a block of families with one
+reach-kernel call, each extremal spec goes through the pair walk of
+:mod:`dagx.boxes`, and a family is built as Fractions only when a report
+lists it.
 
 Scans partition the enumeration index range across a worker pool; shards
 share nothing and merge associatively, so reports are identical for any
@@ -33,17 +35,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .bounds import reduced_dag_edge_bound, turan_graph_edges
-from .boxes import (
-    _GRID,
-    BoxFamily,
-    _family_from_rows,
-    _general_rows,
-    _transverse_rows,
-    directed_intersection_graph,
-    extremal_box_family,
-    format_box_csv,
-    is_transverse_family,
-)
+from .boxes import _GRID, _family_from_rows, _general_rows, _layered_rows, _pair_walk, _transverse_rows, format_box_csv
 from .errors import InvalidParamsError, LimitExceededError, UnknownClaimError
 from .generators import (
     MAX_ENUM_VERTICES,
@@ -69,7 +61,17 @@ from .predicates import (
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
 )
-from .kernels import BoxGraphs, ReachVerdicts, _bit, _blocks, _box_graphs, _edge_rows, _levels_chunk, _reach_verdicts
+from .kernels import (
+    BoxGraphs,
+    ReachVerdicts,
+    _bit,
+    _blocks,
+    _box_graphs,
+    _edge_rows,
+    _joined,
+    _levels_chunk,
+    _reach_verdicts,
+)
 
 DEFAULT_SEED = 271828
 
@@ -144,8 +146,12 @@ def _mask_entries(n: int, start: int, hits: np.ndarray, details: Callable[[int],
             yield _graph_entry(g, detail)
 
 
-def _box_entry(family: BoxFamily, detail: str) -> dict:
-    return {"boxes": format_box_csv(family), "detail": detail}
+def _box_entry(ids: tuple[str, ...], rows: np.ndarray, den: int, detail: str) -> dict:
+    """A report entry listing the family whose box ``ids[i]`` is ``rows[i] / den``.
+
+    The box claim builds a Fraction family here only, for an entry it lists.
+    """
+    return {"boxes": format_box_csv(_family_from_rows(ids, rows, den)), "detail": detail}
 
 
 @dataclass
@@ -734,7 +740,7 @@ def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
     for a, drawn, _, v in _box_trials(seed, start, stop, _draw_transverse):
         hits = np.flatnonzero(~(v.extremely & v.transitive)).tolist()
         detail = "transverse trial {}: graph not extremely reduced + transitive"
-        entries = (_box_entry(_family_from_rows(*drawn[j], _GRID), detail.format(a + j)) for j in hits)
+        entries = (_box_entry(*drawn[j], _GRID, detail.format(a + j)) for j in hits)
         sample.extend(len(hits), entries)
     return {"sample": sample}
 
@@ -747,17 +753,16 @@ def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
     for a, drawn, graphs, v in _box_trials(seed, start, stop, _draw_general):
         xs, ys = np.triu_indices(graphs.succ.shape[0], 1)
         # Labels past a family's size are padding, never part of a pair.
-        joined = (v.rt[xs] & v.rt[ys] != 0) & (v.rf[xs] & v.rf[ys] != 0) & (ys[:, None] < graphs.sizes)
+        joined = _joined(v.rf, v.rt, xs, ys) & (ys[:, None] < graphs.sizes)
         apart = joined & (_bit(graphs.meet[xs], ys[:, None]) == 0)
         joined_pairs += int(np.count_nonzero(joined))
 
         def entries(j: int) -> Iterator[dict]:
             ids, rows = drawn[j]
-            family = _family_from_rows(ids, rows, 2)
             order = graphs.order[j]
             for i, k in sorted(sorted((order[xs[p]], order[ys[p]])) for p in np.flatnonzero(apart[:, j])):
                 detail = f"boxes {ids[i]},{ids[k]} share ancestor and descendant but do not intersect"
-                yield _box_entry(family, f"general trial {a + j}: {detail}")
+                yield _box_entry(ids, rows, 2, f"general trial {a + j}: {detail}")
 
         hits = np.flatnonzero(apart.any(axis=0)).tolist()
         sample.extend(int(np.count_nonzero(apart)), (entry for j in hits for entry in entries(j)))
@@ -770,7 +775,9 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     family reproduces the extremal graph exactly.
 
     Both random trial kinds draw each family as integer rows and decide a
-    block of families with one call of the reach kernel. The general
+    block of families with one call of the reach kernel. Each extremal
+    spec's rows go through one pair walk, whose edges must be those of
+    ``extremal_dag(spec)`` and which must find no offender. The general
     families rarely contain a pair with both a common ancestor and a
     common descendant, so the middle claim may be checked vacuously;
     ``params["general_joined_pairs"]`` counts the pairs it was checked
@@ -786,13 +793,15 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
 
     specs = [ExtremalSpec(r=r, l=l, s=s) for r, l, s in product(range(1, 6), range(2, 6), range(6))]
     for spec in specs:
-        family = extremal_box_family(spec)
+        ids, rows = _layered_rows(spec.r, spec.l - 1, spec.s)
+        edges, offenders = _pair_walk(rows.tolist())
         sweep.checked += 1
-        ok, offenders = is_transverse_family(family)
-        if not ok:
-            sweep.sample.note(_box_entry(family, f"{spec}: family not transverse: {offenders}"))
-        if directed_intersection_graph(family) != extremal_dag(spec):
-            sweep.sample.note(_box_entry(family, f"{spec}: intersection graph differs from the layered construction"))
+        if offenders:
+            pairs = [(ids[i], ids[j]) for i, j in offenders]
+            sweep.sample.note(_box_entry(ids, rows, _GRID, f"{spec}: family not transverse: {pairs}"))
+        if set(edges) != extremal_dag(spec).edges:
+            detail = f"{spec}: intersection graph differs from the layered construction"
+            sweep.sample.note(_box_entry(ids, rows, _GRID, detail))
     return sweep.report(
         "box-properties",
         f"{trials} transverse + {trials} general random families + {len(specs)} extremal specs",

@@ -127,6 +127,11 @@ def _bit(rows: np.ndarray, v: int) -> np.ndarray:
     return (rows >> v) & 1
 
 
+def _joined(rf: np.ndarray, rt: np.ndarray, x, y) -> np.ndarray:
+    """Whether x and y, vertices or index arrays, have a common ancestor and a common descendant."""
+    return (rt[x] & rt[y] != 0) & (rf[x] & rf[y] != 0)
+
+
 def _reach_verdicts(succ: np.ndarray, pred: np.ndarray) -> ReachVerdicts:
     """Reach rows of the graphs given by (succ, pred) rows, and their four class verdicts.
 
@@ -161,7 +166,7 @@ def _reach_verdicts(succ: np.ndarray, pred: np.ndarray) -> ReachVerdicts:
         for y in range(x + 1, n):
             edge = _bit(succ[x], y) != 0
             transitive &= ~edge | (succ[y] & ~succ[x] == 0)
-            joined = (rt[x] & rt[y] != 0) & (rf[x] & rf[y] != 0)
+            joined = _joined(rf, rt, x, y)
             reduced &= ~joined | (_bit(rf[x], y) != 0)
             extremely &= ~joined | edge
 

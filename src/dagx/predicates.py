@@ -30,6 +30,7 @@ from .graph import (
     DEFAULT_ORDER_CAP,
     Dag,
     TopoOrder,
+    _require_edges,
     all_topological_orders,
     bits,
     reach_from_masks,
@@ -120,8 +121,14 @@ def is_transitive(g: Dag) -> bool:
 
 
 def transitive_closure(g: Dag) -> Dag:
-    """The DAG with an edge for every reachable ordered pair."""
+    """The DAG with an edge for every reachable ordered pair.
+
+    A closure of more than :data:`~dagx.graph.MAX_EDGES` edges raises
+    :class:`~dagx.errors.LimitExceededError`, counted from the reach rows
+    before any edge is built.
+    """
     rf = reach_from_masks(g)
+    _require_edges(sum(row.bit_count() for row in rf), "transitive closure edges")
     return Dag(g.n, [(v, w) for v in range(g.n) for w in bits(rf[v])])
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -302,6 +303,37 @@ class TestVerify:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "does-not-exist.txt")
         assert code == 2
+
+
+class TestEdgeLimit:
+    """A graph above ``graph.MAX_EDGES`` edges is bad input (exit 2), refused before it is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # C(10^6, 2) pair draws, 4 TB of floats.
+            ("gen", "random", "--n", "1000000", "--p", "0.5"),
+            # 2.5 * 10^11 edges.
+            ("gen", "turan-dag", "--n", "1000000", "--k", "2"),
+            # A 3,000-vertex path, whose closure has C(3000, 2) = 4,498,500 edges.
+            ("closure", "PATH"),
+        ],
+        ids=["gen-random", "gen-turan-dag", "closure"],
+    )
+    def test_refused_before_building(self, capsys, tmp_path, argv):
+        path = tmp_path / "path.txt"
+        path.write_text("n 3000\n" + "".join(f"{v} {v + 1}\n" for v in range(2999)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *(str(path) if a == "PATH" else a for a in argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "exceeds the limit MAX_EDGES = 4194304" in err and "internal error" not in err
+        # The parsed path and its reach rows take about 3 MB as bitmask ints;
+        # building any of the three graphs would take hundreds of MB or more.
+        assert peak < 32 << 20
 
 
 # Input files for the property below: any text, any bytes, and text shaped

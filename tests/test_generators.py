@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dagx.generators as generators
+import dagx.graph as graph
 from dagx import (
     CycleError,
     Dag,
@@ -242,6 +243,23 @@ class TestRandomDag:
     def test_always_valid(self, seed):
         g = random_dag(7, 0.5, seed)
         Dag(7, g.edges)
+
+
+class TestEdgeLimit:
+    """Each generator counts its edges (random_dag its pair draws) against MAX_EDGES first."""
+
+    def test_at_and_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_EDGES", 6)
+        assert len(turan_dag(4, 4).edges) == len(random_dag(4, 1, 0).edges) == 6
+        assert len(extremal_dag(ExtremalSpec(1, 3, 1)).edges) == 6
+        for build in (
+            lambda: turan_dag(5, 3),
+            lambda: extremal_dag(ExtremalSpec(2, 3, 1)),
+            lambda: extremal_for(5, 2),
+            lambda: random_dag(5, 0, 0),
+        ):
+            with pytest.raises(LimitExceededError, match="MAX_EDGES = 6"):
+                build()
 
 
 class TestPairTable:

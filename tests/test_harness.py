@@ -7,10 +7,12 @@ from math import comb
 import numpy as np
 import pytest
 
+import dagx.boxes as boxes
 import dagx.harness as harness
 import dagx.kernels as kernels
 from dagx import (
     Dag,
+    ExtremalSpec,
     InvalidParamsError,
     LimitExceededError,
     UnknownClaimError,
@@ -27,7 +29,7 @@ from dagx import (
     verify_turan_bound,
 )
 from dagx.bounds import turan_graph_edges
-from dagx.boxes import boxes_intersect, random_box_family
+from dagx.boxes import _GRID, boxes_intersect, extremal_box_family, format_box_csv, random_box_family
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import format_edge_list, longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
@@ -440,6 +442,61 @@ class TestBoxClaim:
     def test_no_random_trials(self):
         # An empty trial range makes no shards; only the extremal specs run.
         assert verify_box_props(0, workers=2).checked == 5 * 4 * 6
+
+
+# The extremal specs of the boxes claim, in the order it checks them.
+BOX_SPECS = [ExtremalSpec(r, l, s) for r in range(1, 6) for l in range(2, 6) for s in range(6)]
+
+
+class TestExtremalSpecFailures:
+    """A failing extremal spec is listed with its family's CSV, every spec and at any worker count.
+
+    The trials at seed 5 pass, so the listed entries are the specs' alone.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_wrong_layered_construction(self, monkeypatch, pool_sizes, workers):
+        monkeypatch.setattr(harness, "extremal_dag", lambda spec: Dag(spec.vertex_count))
+        report = verify_box_props(8, seed=5, workers=workers)
+        assert report.checked == 8 + 8 + len(BOX_SPECS)
+        assert report.violations == [
+            {
+                "boxes": format_box_csv(extremal_box_family(spec)),
+                "detail": f"{spec}: intersection graph differs from the layered construction",
+            }
+            for spec in BOX_SPECS
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_overlapping_columns(self, monkeypatch, pool_sizes, workers):
+        # Column x1 = [2, 3] x [-10, 10] widened to [2, 4.5] overlaps x2 = [4, 5]
+        # with neither nesting in the other; every other pair, and so the
+        # graph, is unchanged. Draws with an rng, the random trials', are not
+        # touched. Both names are patched: extremal_box_family reads the
+        # module's, which the expected CSVs come from, and the harness may
+        # read its own import (hence raising=False) or go through
+        # extremal_box_family.
+        real = boxes._layered_rows
+
+        def shifted(columns, frames, slats, rng=None):
+            ids, rows = real(columns, frames, slats, rng)
+            if rng is None and columns >= 2:
+                rows = rows.copy()
+                rows[0, 1] += 3 * _GRID // 2
+            return ids, rows
+
+        monkeypatch.setattr(boxes, "_layered_rows", shifted)
+        monkeypatch.setattr(harness, "_layered_rows", shifted, raising=False)
+        report = verify_box_props(8, seed=5, workers=workers)
+        assert report.checked == 8 + 8 + len(BOX_SPECS)
+        assert report.violations == [
+            {
+                "boxes": format_box_csv(extremal_box_family(spec)),
+                "detail": f"{spec}: family not transverse: [('x1', 'x2')]",
+            }
+            for spec in BOX_SPECS
+            if spec.r >= 2
+        ]
 
 
 class TestWorkers:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dagx.graph as graph
 import dagx.predicates as predicates
 from dagx import (
     CapExceededError,
     Dag,
     EndpointMismatchError,
+    LimitExceededError,
     VertexRangeError,
     enumerate_dags,
     enumerate_paths,
@@ -140,6 +142,13 @@ class TestTransitivity:
     def test_closure_chorded_chain(self, chorded_chain):
         c = transitive_closure(chorded_chain)
         assert c.edges == {(u, v) for u in range(5) for v in range(u + 1, 5)}
+
+    def test_closure_edge_limit(self, monkeypatch):
+        # chain(4) closes to 6 edges, chain(5) to 10: counted from the reach rows first.
+        monkeypatch.setattr(graph, "MAX_EDGES", 6)
+        assert len(transitive_closure(chain(4)).edges) == 6
+        with pytest.raises(LimitExceededError, match="MAX_EDGES = 6"):
+            transitive_closure(chain(5))
 
     @given(forward_dags(max_n=6))
     @settings(max_examples=150)
