@@ -13,22 +13,27 @@ inside R''s while R''s vertical interval nests strictly inside R's;
 a strict partial order and the graph acyclic (horizontal width grows
 along every edge).
 
-The family-wide checks (:func:`directed_intersection_graph` and
-:func:`is_transverse_family`) scale every coordinate of a family to an
-integer over the family's common denominator and compare those
-integers, which orders the coordinates exactly as their rationals do.
-Both read one walk over the pairs (:func:`_pair_walk`), which sorts each
-meeting pair into an edge or an offender. The pair predicates
-(:func:`intervals_strictly_nested`, :func:`boxes_intersect`,
-:func:`is_transverse_pair`) compare the rationals themselves and serve
-as the literal reference.
+Every box decision is made in this module. The rule is written in three
+forms, each with its own job:
 
-The random and extremal families are drawn as integer rows on a fixed
-grid (numerators over ``_GRID`` for the layered families, over 2 for the
-general ones) and converted to Fractions once. The box claim of
-:mod:`dagx.harness` decides the rows directly, the random ones in blocks
-through the reach kernel and the extremal ones through the pair walk,
-and builds a family only to list it.
+* the pair predicates (:func:`intervals_strictly_nested`,
+  :func:`boxes_intersect`, :func:`is_transverse_pair`) compare the
+  rationals themselves and serve as the literal reference;
+* :func:`_pair_walk` decides one family on integer rows: it walks the
+  pairs once and sorts each meeting pair into an edge or an offender.
+  The family-wide checks (:func:`directed_intersection_graph` and
+  :func:`is_transverse_family`) scale every coordinate of a family to an
+  integer over the family's common denominator, which orders the
+  coordinates exactly as their rationals do, and read one walk that the
+  family caches, so asking both questions of a family walks it once;
+* :func:`_box_graphs` decides a block of families at once with numpy,
+  as (succ, pred) rows for the reach kernel of :mod:`dagx.kernels`.
+
+The random and extremal families are drawn as integer rows on one grid,
+numerators over ``_GRID``, and converted to Fractions once. The box claim
+of :mod:`dagx.harness` decides the rows directly, the random ones in
+blocks through :func:`_box_graphs` and the extremal ones through the pair
+walk, and builds a family only to list it.
 """
 
 from __future__ import annotations
@@ -38,13 +43,15 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DagxError, DegenerateIntervalError, InvalidParamsError, ParseError
 from .graph import Dag
 from .generators import ExtremalSpec, _rng
+from .kernels import _row_dtype
 
 
 # Largest decimal exponent a coordinate string may carry: Fraction("1e99999999999")
@@ -121,6 +128,11 @@ class BoxFamily:
     def boxes(self) -> tuple[Box, ...]:
         return tuple(b for _, b in self.entries)
 
+    @cached_property
+    def _pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """(edges, offenders) of :func:`_pair_walk` on the family's integer rows, walked once per family."""
+        return _pair_walk(_integer_rows(self))
+
 
 def intervals_strictly_nested(a: Interval, b: Interval) -> bool:
     """True iff a sits strictly inside b: b.lo < a.lo and a.hi < b.hi."""
@@ -179,7 +191,7 @@ def _nests(r: tuple, s: tuple) -> bool:
     return s[0] < r[0] and r[1] < s[1] and r[2] < s[2] and s[3] < r[3]
 
 
-def _pair_walk(rows) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _pair_walk(rows) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """(edges, offenders) of rows on one grid, from one walk over the pairs i < j, by i then j.
 
     A pair whose closed boxes meet is an edge when one box nests in the
@@ -198,7 +210,62 @@ def _pair_walk(rows) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
                     edges.append((j, i))
                 else:
                     offenders.append((i, j))
-    return edges, offenders
+    return tuple(edges), tuple(offenders)
+
+
+class BoxGraphs(NamedTuple):
+    """The directed intersection graphs of a block of box families, one column per family.
+
+    Vertex v of family t's graph is its box ``order[t, v]``; the first
+    ``sizes[t]`` vertices are its boxes and the rest padding.
+    """
+
+    order: np.ndarray
+    sizes: np.ndarray
+    succ: np.ndarray
+    pred: np.ndarray
+    meet: np.ndarray  # meet[v]: the vertices whose boxes intersect v's (v itself included)
+
+
+def _box_graphs(families: list[np.ndarray]) -> BoxGraphs:
+    """The (succ, pred) rows of each family's directed intersection graph, and its meet rows.
+
+    Family t is an integer array of rows (ix_lo, ix_hi, jy_lo, jy_hi),
+    on one grid per family as :func:`_integer_rows` gives them. The
+    families are padded to k boxes, the size of the largest, and each is
+    relabeled by horizontal width with a stable sort, the padding placed
+    last.
+
+    The relabeling is a topological order. An edge i -> j puts i's
+    horizontal interval strictly inside j's, so i is strictly narrower,
+    and width strictly grows along every edge; boxes of equal width are
+    never adjacent. The graphs are therefore forward-labeled, as
+    :func:`dagx.kernels._reach_verdicts` needs. Padding vertices nest
+    with nothing and meet nothing, so they are isolated: they change no
+    class verdict and join no pair.
+    """
+    sizes = np.array([len(rows) for rows in families])
+    size, k = len(families), int(sizes.max())
+    coords = np.zeros((size, k, 4), dtype=np.int64)
+    for t, rows in enumerate(families):
+        coords[t, : len(rows)] = rows
+    real = np.arange(k) < sizes[:, None]
+    width = np.where(real, coords[:, :, 1] - coords[:, :, 0], np.iinfo(np.int64).max)
+    order = np.argsort(width, axis=1, kind="stable")
+    xl, xh, yl, yh = np.moveaxis(np.take_along_axis(coords, order[:, :, None], axis=1), 2, 0)
+    # [:, :, None] is vertex a, [:, None, :] vertex b; padding stays last, so ``real`` still marks the boxes.
+    both = real[:, :, None] & real[:, None, :]
+    a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
+    nest = both & (xl[b] < xl[a]) & (xh[a] < xh[b]) & (yl[a] < yl[b]) & (yh[b] < yh[a])
+    meet = both & (xl[a] <= xh[b]) & (xl[b] <= xh[a]) & (yl[a] <= yh[b]) & (yl[b] <= yh[a])
+    dtype = _row_dtype(k)
+    weight = (1 << np.arange(k)).astype(dtype)
+
+    def rows(relation: np.ndarray) -> np.ndarray:
+        # Row a of the result is the bitmask of the b with relation[t, a, b], one column per family.
+        return np.ascontiguousarray(np.bitwise_or.reduce(relation * weight, axis=2).T)
+
+    return BoxGraphs(order, sizes, rows(nest), rows(nest.transpose(0, 2, 1)), rows(meet))
 
 
 def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]]:
@@ -210,7 +277,7 @@ def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]
     the boxes intersect and neither nests in the other.
     """
     ids = family.ids
-    offenders = [(ids[i], ids[j]) for i, j in _pair_walk(_integer_rows(family))[1]]
+    offenders = [(ids[i], ids[j]) for i, j in family._pairs[1]]
     return not offenders, offenders
 
 
@@ -219,10 +286,10 @@ def directed_intersection_graph(family: BoxFamily) -> Dag:
     n = len(family)
     if n == 0:
         raise InvalidParamsError("family must contain at least one box")
-    return Dag(n, _pair_walk(_integer_rows(family))[0])
+    return Dag(n, family._pairs[0])
 
 
-# Every coordinate of the layered families is a multiple of 1/_GRID.
+# Every coordinate of a drawn family, layered or general, is a multiple of 1/_GRID.
 _GRID = 320
 
 
@@ -279,9 +346,9 @@ def _layered_rows(columns: int, frames: int, slats: int, rng=None) -> tuple[tupl
     return ids, values[order].reshape(-1, 4)
 
 
-def _family_from_rows(ids, rows: np.ndarray, den: int) -> BoxFamily:
-    """The family whose box ``ids[i]`` has the coordinates ``rows[i] / den``."""
-    return BoxFamily(tuple((i, box(*(Fraction(c, den) for c in row))) for i, row in zip(ids, rows.tolist())))
+def _family_from_rows(ids, rows: np.ndarray) -> BoxFamily:
+    """The family whose box ``ids[i]`` has the coordinates ``rows[i] / _GRID``."""
+    return BoxFamily(tuple((i, box(*(Fraction(c, _GRID) for c in row))) for i, row in zip(ids, rows.tolist())))
 
 
 def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
@@ -305,7 +372,7 @@ def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
             f"spec {spec} exceeds the default coordinate scale "
             f"(need r <= 9, l <= 10, s/10 + 1/20 < 11 - l)"
         )
-    return _family_from_rows(*_layered_rows(r, l - 1, s), _GRID)
+    return _family_from_rows(*_layered_rows(r, l - 1, s))
 
 
 @cache
@@ -316,12 +383,12 @@ def _general_table(count: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(f"b{i}" for i in range(count)), lows
 
 
-# (x0, y0, w, h) @ _CORNERS == (x0, x0 + w, y0, y0 + h)
-_CORNERS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
+# (x0, y0, w, h) @ _CORNERS == (x0, x0 + w, y0, y0 + h) * _GRID / 2: half-integers as numerators over _GRID.
+_CORNERS = _GRID // 2 * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
 
 
 def _general_rows(count: int, rng) -> tuple[tuple[str, ...], np.ndarray]:
-    """(ids, rows) of :func:`random_box_family`, the rows numerators over 2.
+    """(ids, rows) of :func:`random_box_family`, the rows numerators over _GRID.
 
     One call ``rng.integers(lows, 40)`` draws x0, y0, width and height of
     each box in turn, the stream of one scalar draw per number.
@@ -334,7 +401,7 @@ def random_box_family(count: int, seed) -> BoxFamily:
     """Unconstrained random boxes on a half-integer grid."""
     if count < 1:
         raise InvalidParamsError(f"need count >= 1, got {count}")
-    return _family_from_rows(*_general_rows(count, _rng(seed)), 2)
+    return _family_from_rows(*_general_rows(count, _rng(seed)))
 
 
 def _transverse_rows(rng) -> tuple[tuple[str, ...], np.ndarray]:
@@ -372,7 +439,7 @@ def random_transverse_family(seed) -> BoxFamily:
     validation occasionally fails, in which case the draw is rejected
     and retried, up to 16 draws.
     """
-    return _family_from_rows(*_transverse_rows(_rng(seed)), _GRID)
+    return _family_from_rows(*_transverse_rows(_rng(seed)))
 
 
 CSV_HEADER = ("id", "ix_lo", "ix_hi", "jy_lo", "jy_hi")

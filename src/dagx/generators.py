@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import _check_n_ell, balanced_parts
 from .errors import InvalidParamsError, LimitExceededError
-from .graph import Dag, Edge, _require_edges, bits
+from .graph import Dag, Edge, _require_size, bits
 
 # The enumeration ceiling for every exhaustive sweep: n = 8 has 2^28
 # graphs, which the whole-block kernels sweep in 10 to 75 s per claim on
@@ -70,7 +70,7 @@ def _multipartite(parts: list[int]) -> Dag:
     :class:`~dagx.errors.LimitExceededError` before any edge is built.
     """
     n = sum(parts)
-    _require_edges((n * n - sum(p * p for p in parts)) // 2, "multipartite graph edges")
+    _require_size((n * n - sum(p * p for p in parts)) // 2, "multipartite graph edges")
     edges = []
     lo = 0
     for size in parts:
@@ -83,8 +83,11 @@ def turan_dag(n: int, k: int) -> Dag:
     """Balanced complete k-partite graph, edges oriented low part to high part.
 
     The parts are consecutive vertex blocks of sizes ``balanced_parts(n, k)``;
-    :func:`extremal_dag` is the same orientation on other part sizes.
+    :func:`extremal_dag` is the same orientation on other part sizes. More
+    than :data:`~dagx.graph.MAX_EDGES` vertices raises
+    :class:`~dagx.errors.LimitExceededError` before the parts are listed.
     """
+    _require_size(n, "turan_dag vertex count")
     return _multipartite(balanced_parts(n, k))
 
 
@@ -122,8 +125,11 @@ def extremal_dag(spec: ExtremalSpec) -> Dag:
     i < j. This is the complete multipartite orientation of
     :func:`turan_dag` on the parts r, 1 (l - 1 times), s. The result is
     transitive and extremely reduced; its longest path has length l
-    whenever s >= 1.
+    whenever s >= 1. More than :data:`~dagx.graph.MAX_EDGES` vertices
+    raises :class:`~dagx.errors.LimitExceededError` before the parts are
+    listed.
     """
+    _require_size(spec.vertex_count, "extremal_dag vertex count")
     return _multipartite([spec.r, *[1] * (spec.l - 1), spec.s])
 
 
@@ -163,6 +169,6 @@ def random_dag(n: int, p: float, seed) -> Dag:
     if n < 1:
         raise InvalidParamsError(f"vertex count must be >= 1, got {n}")
     draws = comb(n, 2)
-    _require_edges(draws, "random_dag pair draws")
+    _require_size(draws, "random_dag pair draws")
     keep = _rng(seed).random(draws) < p
     return Dag(n, [pr for pr, k in zip(combinations(range(n), 2), keep) if k])

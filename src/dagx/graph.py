@@ -37,16 +37,17 @@ DEFAULT_ORDER_CAP = 100_000
 # would exhaust memory before any edge is read.
 MAX_EDGE_LIST_VERTICES = 65_536
 
-# The most edges a generator or the transitive closure builds. Each
-# constructor counts its edges (or random pair draws) before allocating: on
-# one core of a 2-core x86 box, `dagx gen turan-dag --n 4096 --k 2`
-# (2^22 edges) takes 12-19 s and 0.8 GB, and C(10^6, 2) draws would need
-# 4 TB.
+# The most edges a generator or the transitive closure builds, and the most
+# vertices any Dag has. Each constructor counts its edges (or random pair
+# draws) before allocating: on one core of a 2-core x86 box, `dagx gen
+# turan-dag --n 4096 --k 2` (2^22 edges) takes 12-19 s and 0.8 GB, and
+# C(10^6, 2) draws would need 4 TB. A Dag and the multipartite generators
+# allocate per-vertex lists first, so they count the vertices too.
 MAX_EDGES = 1 << 22
 
 
-def _require_edges(count: int, what: str) -> None:
-    """Refuse a build of ``count`` edges (or pair draws) above :data:`MAX_EDGES`."""
+def _require_size(count: int, what: str) -> None:
+    """Refuse a build of ``count`` edges, pair draws or vertices above :data:`MAX_EDGES`."""
     if count > MAX_EDGES:
         raise LimitExceededError(f"{what}: {count} exceeds the limit MAX_EDGES = {MAX_EDGES}")
 
@@ -66,8 +67,9 @@ class Dag:
     duplicate edges and acyclicity, whether the graph is parsed or
     generated; a :class:`~dagx.errors.CycleError` carries a witness
     cycle. The same pass records the topological order that
-    :func:`topological_order` returns. Equality is exact labeled equality
-    of (n, edges).
+    :func:`topological_order` returns. More than :data:`MAX_EDGES`
+    vertices raises :class:`~dagx.errors.LimitExceededError` before any
+    row is built. Equality is exact labeled equality of (n, edges).
     """
 
     __slots__ = ("n", "edges", "succ_masks", "pred_masks", "_order", "_cache")
@@ -75,6 +77,7 @@ class Dag:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not isinstance(n, int) or n < 1:
             raise InvalidParamsError(f"vertex count must be a positive integer, got {n!r}")
+        _require_size(n, "vertex count")
         try:
             pairs = [(index(u), index(v)) for u, v in edges]
         except TypeError:

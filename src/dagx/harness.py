@@ -8,11 +8,12 @@ predicates are cross-checked bit-for-bit against the literal brute-force
 oracles. The theorem, equiv-transitive, closure and separations sweeps
 read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, whose tests check it against the scalar predicates
-on every DAG with n <= 6. The box claim works on integer rows
-throughout: the random trials decide a block of families with one
-reach-kernel call, each extremal spec goes through the pair walk of
-:mod:`dagx.boxes`, and a family is built as Fractions only when a report
-lists it.
+on every DAG with n <= 6. The box claim takes every geometric decision
+from :mod:`dagx.boxes` and works on its integer rows throughout: the
+random trials decide a block of families with one reach-kernel call on
+the rows :func:`dagx.boxes._box_graphs` builds, each extremal spec goes
+through the pair walk, and a family is built as Fractions only when a
+report lists it.
 
 Scans partition the enumeration index range across a worker pool; shards
 share nothing and merge associatively, so reports are identical for any
@@ -35,7 +36,16 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .bounds import reduced_dag_edge_bound, turan_graph_edges
-from .boxes import _GRID, _family_from_rows, _general_rows, _layered_rows, _pair_walk, _transverse_rows, format_box_csv
+from .boxes import (
+    BoxGraphs,
+    _box_graphs,
+    _family_from_rows,
+    _general_rows,
+    _layered_rows,
+    _pair_walk,
+    _transverse_rows,
+    format_box_csv,
+)
 from .errors import InvalidParamsError, LimitExceededError, UnknownClaimError
 from .generators import (
     MAX_ENUM_VERTICES,
@@ -62,11 +72,9 @@ from .predicates import (
     is_strongly_reduced_bruteforce,
 )
 from .kernels import (
-    BoxGraphs,
     ReachVerdicts,
     _bit,
     _blocks,
-    _box_graphs,
     _edge_rows,
     _joined,
     _levels_chunk,
@@ -146,12 +154,12 @@ def _mask_entries(n: int, start: int, hits: np.ndarray, details: Callable[[int],
             yield _graph_entry(g, detail)
 
 
-def _box_entry(ids: tuple[str, ...], rows: np.ndarray, den: int, detail: str) -> dict:
-    """A report entry listing the family whose box ``ids[i]`` is ``rows[i] / den``.
+def _box_entry(ids: tuple[str, ...], rows: np.ndarray, detail: str) -> dict:
+    """A report entry listing the family whose box ``ids[i]`` has the grid rows ``rows[i]``.
 
     The box claim builds a Fraction family here only, for an entry it lists.
     """
-    return {"boxes": format_box_csv(_family_from_rows(ids, rows, den)), "detail": detail}
+    return {"boxes": format_box_csv(_family_from_rows(ids, rows)), "detail": detail}
 
 
 @dataclass
@@ -740,7 +748,7 @@ def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
     for a, drawn, _, v in _box_trials(seed, start, stop, _draw_transverse):
         hits = np.flatnonzero(~(v.extremely & v.transitive)).tolist()
         detail = "transverse trial {}: graph not extremely reduced + transitive"
-        entries = (_box_entry(*drawn[j], _GRID, detail.format(a + j)) for j in hits)
+        entries = (_box_entry(*drawn[j], detail.format(a + j)) for j in hits)
         sample.extend(len(hits), entries)
     return {"sample": sample}
 
@@ -762,7 +770,7 @@ def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
             order = graphs.order[j]
             for i, k in sorted(sorted((order[xs[p]], order[ys[p]])) for p in np.flatnonzero(apart[:, j])):
                 detail = f"boxes {ids[i]},{ids[k]} share ancestor and descendant but do not intersect"
-                yield _box_entry(ids, rows, 2, f"general trial {a + j}: {detail}")
+                yield _box_entry(ids, rows, f"general trial {a + j}: {detail}")
 
         hits = np.flatnonzero(apart.any(axis=0)).tolist()
         sample.extend(int(np.count_nonzero(apart)), (entry for j in hits for entry in entries(j)))
@@ -798,10 +806,10 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
         sweep.checked += 1
         if offenders:
             pairs = [(ids[i], ids[j]) for i, j in offenders]
-            sweep.sample.note(_box_entry(ids, rows, _GRID, f"{spec}: family not transverse: {pairs}"))
+            sweep.sample.note(_box_entry(ids, rows, f"{spec}: family not transverse: {pairs}"))
         if set(edges) != extremal_dag(spec).edges:
             detail = f"{spec}: intersection graph differs from the layered construction"
-            sweep.sample.note(_box_entry(ids, rows, _GRID, detail))
+            sweep.sample.note(_box_entry(ids, rows, detail))
     return sweep.report(
         "box-properties",
         f"{trials} transverse + {trials} general random families + {len(specs)} extremal specs",

@@ -30,7 +30,7 @@ from .graph import (
     DEFAULT_ORDER_CAP,
     Dag,
     TopoOrder,
-    _require_edges,
+    _require_size,
     all_topological_orders,
     bits,
     reach_from_masks,
@@ -128,7 +128,7 @@ def transitive_closure(g: Dag) -> Dag:
     before any edge is built.
     """
     rf = reach_from_masks(g)
-    _require_edges(sum(row.bit_count() for row in rf), "transitive closure edges")
+    _require_size(sum(row.bit_count() for row in rf), "transitive closure edges")
     return Dag(g.n, [(v, w) for v in range(g.n) for w in bits(rf[v])])
 
 

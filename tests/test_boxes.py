@@ -33,6 +33,7 @@ from dagx import (
     reachability,
 )
 from dagx import boxes as boxes_module
+from dagx.cli import main
 
 CSV_HEAD = "id,ix_lo,ix_hi,jy_lo,jy_hi\n"
 
@@ -236,6 +237,38 @@ class TestIntegerKernel:
         assert directed_intersection_graph(fam).edges == literal_edges(fam)
         offenders = literal_offenders(fam)
         assert is_transverse_family(fam) == (not offenders, offenders)
+
+
+class TestOneWalkPerFamily:
+    """A family's pairs are walked once, however many of its checks are asked."""
+
+    @staticmethod
+    def count_walks(monkeypatch) -> list:
+        walks = []
+        real = boxes_module._pair_walk
+
+        def counted(rows):
+            walks.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(boxes_module, "_pair_walk", counted)
+        return walks
+
+    def test_both_checks_share_one_walk(self, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        family = random_box_family(8, 3)
+        ok, offenders = is_transverse_family(family)
+        assert directed_intersection_graph(family).edges == literal_edges(family)
+        assert (ok, offenders) == (not literal_offenders(family), literal_offenders(family))
+        assert walks == [8]
+
+    def test_boxes_graph_walks_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "family.csv"
+        path.write_text(format_box_csv(extremal_box_family(ExtremalSpec(2, 3, 2))))
+        walks = self.count_walks(monkeypatch)
+        assert main(["boxes-graph", str(path), "--require-transverse"]) == 0
+        assert "# transverse: yes" in capsys.readouterr().out
+        assert walks == [6]
 
 
 class TestExtremalBoxFamily:
@@ -456,7 +489,7 @@ class TestRowDrawers:
             ids, rows = boxes_module._general_rows(count, np.random.default_rng(seed))
             family = random_box_family(count, seed)
             assert ids == family.ids
-            self.assert_rows_of(rows, 2, family)
+            self.assert_rows_of(rows, boxes_module._GRID, family)
         for r, l, s in [(1, 1, 0), (4, 5, 4), (9, 10, 9), (2, 2, 89)]:
             ids, rows = boxes_module._layered_rows(r, l - 1, s)
             family = extremal_box_family(ExtremalSpec(r, l, s))

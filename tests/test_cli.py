@@ -1,5 +1,8 @@
 import json
+import os
+import resource
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -333,6 +336,56 @@ class TestEdgeLimit:
         assert "exceeds the limit MAX_EDGES = 4194304" in err and "internal error" not in err
         # The parsed path and its reach rows take about 3 MB as bitmask ints;
         # building any of the three graphs would take hundreds of MB or more.
+        assert peak < 32 << 20
+
+
+@contextmanager
+def address_space_cap(extra: int):
+    """Cap this process's address space at its current size plus ``extra`` bytes while the block runs.
+
+    A build that lists a billion parts then fails with MemoryError instead
+    of taking the machine's memory. Without /proc/self/statm there is no cap.
+    """
+    if not os.path.exists("/proc/self/statm"):
+        yield
+        return
+    with open("/proc/self/statm") as handle:
+        size = int(handle.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestVertexLimit:
+    """A graph above ``graph.MAX_EDGES`` vertices is bad input (exit 2), refused before its parts or rows are listed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # One part of 10^9 vertices, no edges.
+            ("gen", "turan-dag", "--n", "1000000000", "--k", "1"),
+            # 10^9 parts of one vertex each.
+            ("gen", "turan-dag", "--n", "1000000000", "--k", "1000000000"),
+            # A middle chain of 999,999,998 vertices.
+            ("gen", "extremal", "--n", "1000000000", "--ell", "999999999"),
+        ],
+        ids=["turan-one-part", "turan-singleton-parts", "extremal-long-chain"],
+    )
+    def test_refused_before_building(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            with address_space_cap(1 << 30):
+                code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "vertex count: 1000000000 exceeds the limit MAX_EDGES = 4194304" in err and "internal error" not in err
+        # A list of 10^9 parts or per-vertex rows would take 8 GB.
         assert peak < 32 << 20
 
 

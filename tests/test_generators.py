@@ -262,6 +262,17 @@ class TestEdgeLimit:
                 build()
 
 
+class TestVertexLimit:
+    """The multipartite generators count their vertices against MAX_EDGES before listing the parts."""
+
+    def test_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_EDGES", 6)
+        assert turan_dag(6, 1).n == 6
+        for build in (lambda: turan_dag(7, 1), lambda: turan_dag(7, 7), lambda: extremal_dag(ExtremalSpec(1, 6, 1))):
+            with pytest.raises(LimitExceededError, match="vertex count: 7 exceeds the limit MAX_EDGES = 6"):
+                build()
+
+
 class TestPairTable:
     """The colex table nests: an n-vertex index is an (n - 1)-vertex index plus the last sink's predecessor set."""
 

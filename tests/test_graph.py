@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dagx.graph as graph
 from dagx import (
     CapExceededError,
     CycleError,
@@ -12,6 +13,7 @@ from dagx import (
     DagxError,
     DuplicateEdgeError,
     InvalidParamsError,
+    LimitExceededError,
     ParseError,
     SelfLoopError,
     VertexRangeError,
@@ -82,6 +84,13 @@ class TestConstruction:
     def test_bad_vertex_count(self):
         with pytest.raises(InvalidParamsError):
             Dag(0)
+
+    def test_vertex_limit(self, monkeypatch):
+        # The per-vertex rows are refused before they are allocated.
+        monkeypatch.setattr(graph, "MAX_EDGES", 6)
+        assert Dag(6).n == 6
+        with pytest.raises(LimitExceededError, match="vertex count: 7 exceeds the limit MAX_EDGES = 6"):
+            Dag(7)
 
     def test_equality_is_labeled(self):
         assert Dag(3, [(0, 1)]) == Dag(3, [(0, 1)])

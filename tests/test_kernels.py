@@ -6,6 +6,7 @@ import pytest
 import dagx.harness as harness
 import dagx.kernels as kernels
 from dagx.boxes import (
+    _box_graphs,
     _integer_rows,
     boxes_intersect,
     directed_intersection_graph,
@@ -15,7 +16,7 @@ from dagx.boxes import (
 )
 from dagx.generators import ExtremalSpec, dag_count, dag_from_index, extremal_dag
 from dagx.graph import bits, reach_from_masks, reach_to_masks
-from dagx.kernels import _BLOCK, _blocks, _box_graphs, _edge_rows, _reach_verdicts, _row_dtype
+from dagx.kernels import _BLOCK, _blocks, _edge_rows, _reach_verdicts, _row_dtype
 from dagx.predicates import (
     is_extremely_reduced,
     is_reduced,
