@@ -27,13 +27,15 @@ forms, each with its own job:
   coordinates exactly as their rationals do, and read one walk that the
   family caches, so asking both questions of a family walks it once;
 * :func:`_box_graphs` decides a block of families at once with numpy,
-  as (succ, pred) rows for the reach kernel of :mod:`dagx.kernels`.
+  as (family, box, box) matrices of nesting and meeting, and
+  :func:`_box_verdicts` reads transitivity and the joined pairs of their
+  graphs off two-step products of the nesting matrices.
 
 The random and extremal families are drawn as integer rows on one grid,
 numerators over ``_GRID``, and converted to Fractions once. The box claim
 of :mod:`dagx.harness` decides the rows directly, the random ones in
-blocks through :func:`_box_graphs` and the extremal ones through the pair
-walk, and builds a family only to list it.
+blocks through :func:`_box_graphs` and :func:`_box_verdicts` and the
+extremal ones through the pair walk, and builds a family only to list it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import numpy as np
 from .errors import DagxError, DegenerateIntervalError, InvalidParamsError, ParseError
 from .graph import Dag
 from .generators import ExtremalSpec, _rng
-from .kernels import _row_dtype
 
 
 # Largest decimal exponent a coordinate string may carry: Fraction("1e99999999999")
@@ -214,58 +215,58 @@ def _pair_walk(rows) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int]
 
 
 class BoxGraphs(NamedTuple):
-    """The directed intersection graphs of a block of box families, one column per family.
+    """The directed intersection graphs of a block of box families, as (family, box, box) matrices.
 
-    Vertex v of family t's graph is its box ``order[t, v]``; the first
-    ``sizes[t]`` vertices are its boxes and the rest padding.
+    Box v of family t is its box v in family order; the families are
+    padded to the size of the largest, and a padding box nests in
+    nothing and meets nothing.
     """
 
-    order: np.ndarray
-    sizes: np.ndarray
-    succ: np.ndarray
-    pred: np.ndarray
-    meet: np.ndarray  # meet[v]: the vertices whose boxes intersect v's (v itself included)
+    nest: np.ndarray  # nest[t, a, b]: edge a -> b, box a nested in box b
+    meet: np.ndarray  # meet[t, a, b]: the closed boxes a and b intersect (a box meets itself)
 
 
 def _box_graphs(families: list[np.ndarray]) -> BoxGraphs:
-    """The (succ, pred) rows of each family's directed intersection graph, and its meet rows.
+    """The nesting and meeting matrices of each family.
 
     Family t is an integer array of rows (ix_lo, ix_hi, jy_lo, jy_hi),
-    on one grid per family as :func:`_integer_rows` gives them. The
-    families are padded to k boxes, the size of the largest, and each is
-    relabeled by horizontal width with a stable sort, the padding placed
-    last.
-
-    The relabeling is a topological order. An edge i -> j puts i's
-    horizontal interval strictly inside j's, so i is strictly narrower,
-    and width strictly grows along every edge; boxes of equal width are
-    never adjacent. The graphs are therefore forward-labeled, as
-    :func:`dagx.kernels._reach_verdicts` needs. Padding vertices nest
-    with nothing and meet nothing, so they are isolated: they change no
-    class verdict and join no pair.
+    on one grid per family as :func:`_integer_rows` gives them.
     """
-    sizes = np.array([len(rows) for rows in families])
-    size, k = len(families), int(sizes.max())
+    size, k = len(families), max(map(len, families))
     coords = np.zeros((size, k, 4), dtype=np.int64)
+    real = np.zeros((size, k), dtype=bool)
     for t, rows in enumerate(families):
         coords[t, : len(rows)] = rows
-    real = np.arange(k) < sizes[:, None]
-    width = np.where(real, coords[:, :, 1] - coords[:, :, 0], np.iinfo(np.int64).max)
-    order = np.argsort(width, axis=1, kind="stable")
-    xl, xh, yl, yh = np.moveaxis(np.take_along_axis(coords, order[:, :, None], axis=1), 2, 0)
-    # [:, :, None] is vertex a, [:, None, :] vertex b; padding stays last, so ``real`` still marks the boxes.
+        real[t, : len(rows)] = True
+    xl, xh, yl, yh = np.moveaxis(coords, 2, 0)
+    # [:, :, None] is box a, [:, None, :] box b.
     both = real[:, :, None] & real[:, None, :]
     a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
     nest = both & (xl[b] < xl[a]) & (xh[a] < xh[b]) & (yl[a] < yl[b]) & (yh[b] < yh[a])
     meet = both & (xl[a] <= xh[b]) & (xl[b] <= xh[a]) & (yl[a] <= yh[b]) & (yl[b] <= yh[a])
-    dtype = _row_dtype(k)
-    weight = (1 << np.arange(k)).astype(dtype)
+    return BoxGraphs(nest, meet)
 
-    def rows(relation: np.ndarray) -> np.ndarray:
-        # Row a of the result is the bitmask of the b with relation[t, a, b], one column per family.
-        return np.ascontiguousarray(np.bitwise_or.reduce(relation * weight, axis=2).T)
 
-    return BoxGraphs(order, sizes, rows(nest), rows(nest.transpose(0, 2, 1)), rows(meet))
+def _box_verdicts(nest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(transitive, joined) of each graph of a block of ``nest`` matrices, from two-step products.
+
+    ``transitive[t]``: every two-step path x -> z -> y of family t's
+    graph has the edge x -> y. ``joined[t, x, y]``: x != y have a common
+    in-neighbour and a common out-neighbour.
+
+    On a transitive graph the in-neighbours of a vertex are exactly its
+    ancestors and the out-neighbours its descendants, so ``joined`` is
+    then the relation "common ancestor and common descendant" of the
+    class rules; a graph that is not transitive is already a violation
+    of every box claim that reads ``joined``. Every box graph is
+    transitive, since strict nesting is transitive on each axis, and the
+    check keeps that proved fact tested. The products are boolean, so
+    they run in numpy's own loops and load no BLAS buffers.
+    """
+    nest_t = nest.transpose(0, 2, 1)
+    transitive = ~((nest @ nest) & ~nest).any(axis=(1, 2))
+    joined = (nest_t @ nest) & (nest @ nest_t) & ~np.eye(nest.shape[1], dtype=bool)
+    return transitive, joined
 
 
 def is_transverse_family(family: BoxFamily) -> tuple[bool, list[tuple[str, str]]]:
@@ -375,14 +376,6 @@ def extremal_box_family(spec: ExtremalSpec) -> BoxFamily:
     return _family_from_rows(*_layered_rows(r, l - 1, s))
 
 
-@cache
-def _general_table(count: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """(ids, lows) of :func:`random_box_family`: ids b0.., and per drawn number its low bound."""
-    lows = np.tile(np.array([-40, -40, 1, 1], dtype=np.int64), count)
-    lows.flags.writeable = False
-    return tuple(f"b{i}" for i in range(count)), lows
-
-
 # (x0, y0, w, h) @ _CORNERS == (x0, x0 + w, y0, y0 + h) * _GRID / 2: half-integers as numerators over _GRID.
 _CORNERS = _GRID // 2 * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
 
@@ -390,11 +383,11 @@ _CORNERS = _GRID // 2 * np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 
 def _general_rows(count: int, rng) -> tuple[tuple[str, ...], np.ndarray]:
     """(ids, rows) of :func:`random_box_family`, the rows numerators over _GRID.
 
-    One call ``rng.integers(lows, 40)`` draws x0, y0, width and height of
+    One call draws x0 and y0 in -40..39 and width and height in 1..39 of
     each box in turn, the stream of one scalar draw per number.
     """
-    ids, lows = _general_table(count)
-    return ids, rng.integers(lows, 40).reshape(count, 4) @ _CORNERS
+    rows = rng.integers(np.array([-40, -40, 1, 1]), 40, size=(count, 4)) @ _CORNERS
+    return tuple(f"b{i}" for i in range(count)), rows
 
 
 def random_box_family(count: int, seed) -> BoxFamily:

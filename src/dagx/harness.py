@@ -10,8 +10,9 @@ read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, whose tests check it against the scalar predicates
 on every DAG with n <= 6. The box claim takes every geometric decision
 from :mod:`dagx.boxes` and works on its integer rows throughout: the
-random trials decide a block of families with one reach-kernel call on
-the rows :func:`dagx.boxes._box_graphs` builds, each extremal spec goes
+random trials decide a block of families on the nesting and meeting
+matrices of :func:`dagx.boxes._box_graphs` and the verdicts
+:func:`dagx.boxes._box_verdicts` reads off them, each extremal spec goes
 through the pair walk, and a family is built as Fractions only when a
 report lists it.
 
@@ -39,6 +40,7 @@ from .bounds import reduced_dag_edge_bound, turan_graph_edges
 from .boxes import (
     BoxGraphs,
     _box_graphs,
+    _box_verdicts,
     _family_from_rows,
     _general_rows,
     _layered_rows,
@@ -71,15 +73,7 @@ from .predicates import (
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
 )
-from .kernels import (
-    ReachVerdicts,
-    _bit,
-    _blocks,
-    _edge_rows,
-    _joined,
-    _levels_chunk,
-    _reach_verdicts,
-)
+from .kernels import _blocks, _edge_rows, _levels_chunk, _reach_verdicts
 
 DEFAULT_SEED = 271828
 
@@ -220,10 +214,11 @@ class _Sweep(ExitStack):
     ``scan(*args, start, stop)`` checks the indices start..stop-1 and
     returns a dict with a ``sample`` of its violations and any
     claim-specific counts; ``run`` counts every index of its range as
-    checked. A range is cut into ``workers`` shards whatever the machine,
-    so merged reports are identical for every worker count; the shards
-    run in one pool of at most one process per CPU, the sweep's own or,
-    inside :func:`verify_claim`, the call's.
+    checked. A range is cut into one shard per process, at most
+    ``workers`` and at most one per CPU; shards merge associatively, so
+    merged reports are identical for every worker count. The shards run
+    in one pool, the sweep's own or, inside :func:`verify_claim`, the
+    call's.
     """
 
     def __init__(self, workers: int):
@@ -237,12 +232,12 @@ class _Sweep(ExitStack):
 
     def run(self, scan: Callable[..., dict], total: int, *args) -> list[dict]:
         """Scan the index range 0..total-1 shard by shard; merge and return the parts."""
-        shards = _shard_ranges(total, self.workers)
         processes = 1
-        if len(shards) > 1:  # a pool could open: count the CPUs, by affinity where the OS has it
+        if self.workers > 1:  # a pool could open: count the CPUs, by affinity where the OS has it
             affinity = getattr(os, "sched_getaffinity", None)
             processes = min(self.workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
-        if processes <= 1:
+        shards = _shard_ranges(total, processes)
+        if len(shards) <= 1:
             parts = [scan(*args, a, b) for a, b in shards]
         else:
             parts = self._pool.map(processes, scan, args, shards)
@@ -688,26 +683,26 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
     carries t(n, k) edges, a K_k, and no K_{k+1}.
     """
     _require_range("clique", max_n, MAX_CLIQUE_VERTICES)
-    sweep = _Sweep(1)
-    for n in range(2, max_n + 1):
-        bit = _pair_bits(n)
-        # cliques[s]: the edge masks of every s-clique of K_n (none for s = n + 1).
-        cliques = [_clique_edge_masks(n, size, bit) for size in range(n + 2)]
-        for k in range(1, n + 1):
-            t = turan_graph_edges(n, k)
-            sweep.checked += 1
-            budget = comb(n, 2) - t - 1
-            if budget >= 0 and _cover_within(cliques[k + 1], budget):
-                detail = f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}"
-                sweep.sample.note(_graph_entry(None, detail))
-            g = turan_dag(n, k)
-            mask = sum(bit[pair] for pair in g.edges)
-            if len(g.edges) != t:
-                sweep.sample.note(_graph_entry(g, f"expected {t} edges at n={n}, k={k}"))
-            if not any(cm & ~mask == 0 for cm in cliques[k]):
-                sweep.sample.note(_graph_entry(g, f"no {k}-clique at n={n}, k={k}"))
-            if any(cm & ~mask == 0 for cm in cliques[k + 1]):
-                sweep.sample.note(_graph_entry(g, f"unexpected {k + 1}-clique at n={n}, k={k}"))
+    with _Sweep(1) as sweep:
+        for n in range(2, max_n + 1):
+            bit = _pair_bits(n)
+            # cliques[s]: the edge masks of every s-clique of K_n (none for s = n + 1).
+            cliques = [_clique_edge_masks(n, size, bit) for size in range(n + 2)]
+            for k in range(1, n + 1):
+                t = turan_graph_edges(n, k)
+                sweep.checked += 1
+                budget = comb(n, 2) - t - 1
+                if budget >= 0 and _cover_within(cliques[k + 1], budget):
+                    detail = f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}"
+                    sweep.sample.note(_graph_entry(None, detail))
+                g = turan_dag(n, k)
+                mask = sum(bit[pair] for pair in g.edges)
+                if len(g.edges) != t:
+                    sweep.sample.note(_graph_entry(g, f"expected {t} edges at n={n}, k={k}"))
+                if not any(cm & ~mask == 0 for cm in cliques[k]):
+                    sweep.sample.note(_graph_entry(g, f"no {k}-clique at n={n}, k={k}"))
+                if any(cm & ~mask == 0 for cm in cliques[k + 1]):
+                    sweep.sample.note(_graph_entry(g, f"unexpected {k + 1}-clique at n={n}, k={k}"))
     return sweep.report(
         "clique-free-maximum", f"all graphs, n <= {max_n} (via complete hitting-set search)", {"max_n": max_n}
     )
@@ -717,21 +712,20 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
 # Box family properties.
 
 
-# Random families per kernel call. On a 2-core x86 box, sweep-predicates'
-# peak RSS rose 1.3 MB over the per-family route with 1024 families per
-# block and 0.6 MB with 256; the smaller blocks cost verify_box_props(1000)
-# about 10 ms (0.13 s in all).
+# Random families per block. On a 2-core x86 box, verify_box_props(1000)
+# took 0.11-0.14 s with 64, 256 or 1024 families per block, and raised the
+# peak RSS of a warmed-up process by 1.1, 1.6 and 2.5 MB.
 _BOX_BLOCK = 256
 
 
 def _box_trials(
     seed: int, start: int, stop: int, draw: Callable
-) -> Iterator[tuple[int, list, BoxGraphs, ReachVerdicts]]:
-    """(a, drawn, graphs, verdicts) per block of trials from a on; ``draw(seed, t)`` gives trial t's (ids, rows)."""
+) -> Iterator[tuple[int, list, BoxGraphs, tuple[np.ndarray, np.ndarray]]]:
+    """(a, drawn, graphs, (transitive, joined)) per block of trials from a on; ``draw(seed, t)`` gives trial t's (ids, rows)."""
     for a in range(start, stop, _BOX_BLOCK):
         drawn = [draw(seed, t) for t in range(a, min(a + _BOX_BLOCK, stop))]
         graphs = _box_graphs([rows for _, rows in drawn])
-        yield a, drawn, graphs, _reach_verdicts(graphs.succ, graphs.pred)
+        yield a, drawn, graphs, _box_verdicts(graphs.nest)
 
 
 def _draw_transverse(seed: int, t: int) -> tuple:
@@ -744,9 +738,11 @@ def _draw_general(seed: int, t: int) -> tuple:
 
 
 def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
+    # Extremely reduced: every joined pair is adjacent.
     sample = _Sample()
-    for a, drawn, _, v in _box_trials(seed, start, stop, _draw_transverse):
-        hits = np.flatnonzero(~(v.extremely & v.transitive)).tolist()
+    for a, drawn, graphs, (transitive, joined) in _box_trials(seed, start, stop, _draw_transverse):
+        adjacent = graphs.nest | graphs.nest.transpose(0, 2, 1)
+        hits = np.flatnonzero(~transitive | (joined & ~adjacent).any(axis=(1, 2))).tolist()
         detail = "transverse trial {}: graph not extremely reduced + transitive"
         entries = (_box_entry(*drawn[j], detail.format(a + j)) for j in hits)
         sample.extend(len(hits), entries)
@@ -754,26 +750,26 @@ def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
 
 
 def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
-    # Pair (x, y), x < y, of each graph's labels is joined when the boxes
-    # share an ancestor and a descendant; a joined pair must intersect.
+    # Pair (x, y), x < y, of a family is joined when the boxes share an
+    # ancestor and a descendant; a joined pair must intersect.
     sample = _Sample()
     joined_pairs = 0
-    for a, drawn, graphs, v in _box_trials(seed, start, stop, _draw_general):
-        xs, ys = np.triu_indices(graphs.succ.shape[0], 1)
-        # Labels past a family's size are padding, never part of a pair.
-        joined = _joined(v.rf, v.rt, xs, ys) & (ys[:, None] < graphs.sizes)
-        apart = joined & (_bit(graphs.meet[xs], ys[:, None]) == 0)
+    for a, drawn, graphs, (transitive, joined) in _box_trials(seed, start, stop, _draw_general):
+        joined = np.triu(joined)
+        apart = joined & ~graphs.meet
         joined_pairs += int(np.count_nonzero(joined))
 
         def entries(j: int) -> Iterator[dict]:
             ids, rows = drawn[j]
-            order = graphs.order[j]
-            for i, k in sorted(sorted((order[xs[p]], order[ys[p]])) for p in np.flatnonzero(apart[:, j])):
+            if not transitive[j]:
+                yield _box_entry(ids, rows, f"general trial {a + j}: graph not transitive")
+            for i, k in zip(*np.nonzero(apart[j])):
                 detail = f"boxes {ids[i]},{ids[k]} share ancestor and descendant but do not intersect"
                 yield _box_entry(ids, rows, f"general trial {a + j}: {detail}")
 
-        hits = np.flatnonzero(apart.any(axis=0)).tolist()
-        sample.extend(int(np.count_nonzero(apart)), (entry for j in hits for entry in entries(j)))
+        counts = ~transitive + apart.sum(axis=(1, 2))
+        hits = np.flatnonzero(counts).tolist()
+        sample.extend(int(counts.sum()), (entry for j in hits for entry in entries(j)))
     return {"sample": sample, "joined": joined_pairs}
 
 
@@ -783,7 +779,8 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     family reproduces the extremal graph exactly.
 
     Both random trial kinds draw each family as integer rows and decide a
-    block of families with one call of the reach kernel. Each extremal
+    block of families at once on its nesting and meeting matrices, which
+    also checks that every graph is transitive. Each extremal
     spec's rows go through one pair walk, whose edges must be those of
     ``extremal_dag(spec)`` and which must find no offender. The general
     families rarely contain a pair with both a common ancestor and a

@@ -8,8 +8,9 @@ and then works on one numpy row per vertex (or pair), so a block of
 thousands of graphs costs O(n^2) numpy operations instead of one
 Python-level graph check per index. Every graph here is forward-labeled:
 edges run from lower to higher vertices. :func:`_reach_verdicts` takes
-the (succ, pred) rows of any such block, whether decoded here from
-enumeration indices or built by :mod:`dagx.boxes` from box families.
+the (succ, pred) rows of any such block: those :func:`_edge_rows`
+decodes, or the reach rows it returned itself, which the closure sweep
+feeds back in.
 """
 
 from __future__ import annotations
@@ -125,11 +126,6 @@ def _bit(rows: np.ndarray, v: int) -> np.ndarray:
     return (rows >> v) & 1
 
 
-def _joined(rf: np.ndarray, rt: np.ndarray, x, y) -> np.ndarray:
-    """Whether x and y, vertices or index arrays, have a common ancestor and a common descendant."""
-    return (rt[x] & rt[y] != 0) & (rf[x] & rf[y] != 0)
-
-
 def _reach_verdicts(succ: np.ndarray, pred: np.ndarray) -> ReachVerdicts:
     """Reach rows of the graphs given by (succ, pred) rows, and their four class verdicts.
 
@@ -164,7 +160,7 @@ def _reach_verdicts(succ: np.ndarray, pred: np.ndarray) -> ReachVerdicts:
         for y in range(x + 1, n):
             edge = _bit(succ[x], y) != 0
             transitive &= ~edge | (succ[y] & ~succ[x] == 0)
-            joined = _joined(rf, rt, x, y)
+            joined = (rt[x] & rt[y] != 0) & (rf[x] & rf[y] != 0)
             reduced &= ~joined | (_bit(rf[x], y) != 0)
             extremely &= ~joined | edge
 

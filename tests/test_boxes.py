@@ -32,8 +32,11 @@ from dagx import (
     random_transverse_family,
     reachability,
 )
+import dagx.harness as harness
 from dagx import boxes as boxes_module
+from dagx.boxes import _box_graphs, _box_verdicts, _integer_rows
 from dagx.cli import main
+from dagx.graph import reach_from_masks, reach_to_masks
 
 CSV_HEAD = "id,ix_lo,ix_hi,jy_lo,jy_hi\n"
 
@@ -495,6 +498,101 @@ class TestRowDrawers:
             family = extremal_box_family(ExtremalSpec(r, l, s))
             assert ids == family.ids
             self.assert_rows_of(rows, boxes_module._GRID, family)
+
+
+def matrix_pairs(matrix: np.ndarray) -> set:
+    """The pairs (a, b) with ``matrix[a, b]`` set."""
+    return {(int(a), int(b)) for a, b in zip(*np.nonzero(matrix))}
+
+
+def reach_joined(g: Dag) -> set:
+    """The pairs (x, y), x != y, with a common ancestor and a common descendant, from g's reach rows."""
+    rf, rt = reach_from_masks(g), reach_to_masks(g)
+    return {(x, y) for x in range(g.n) for y in range(g.n) if x != y and rt[x] & rt[y] and rf[x] & rf[y]}
+
+
+class TestBoxKernel:
+    """The block matrices and verdicts of the box trials against the scalar route on Fractions.
+
+    Blocks of 300 trials give families of different padded sizes; a pair
+    with a padding box would be a pair the scalar route lacks.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BOX_BLOCK", 300)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 271828])
+    def test_transverse_trials(self, seed):
+        flagged = 0
+        for a, drawn, graphs, (transitive, joined) in harness._box_trials(seed, 0, 1000, harness._draw_transverse):
+            for j, (ids, _) in enumerate(drawn):
+                family = random_transverse_family((seed, 0, a + j))
+                g = directed_intersection_graph(family)
+                assert family.ids == ids
+                assert matrix_pairs(graphs.nest[j]) == g.edges
+                assert matrix_pairs(joined[j]) == reach_joined(g)
+                assert bool(transitive[j]) == is_transitive(g)
+                adjacent = g.edges | {(v, u) for u, v in g.edges}
+                block = bool(transitive[j]) and matrix_pairs(joined[j]) <= adjacent
+                scalar = is_extremely_reduced(g) and is_transitive(g)
+                assert block == scalar
+                flagged += not scalar
+        assert harness._scan_transverse_boxes(seed, 0, 1000)["sample"].count == flagged
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 271828])
+    def test_general_trials(self, seed):
+        joined_count = listed = 0
+        for a, drawn, graphs, (transitive, joined) in harness._box_trials(seed, 0, 1000, harness._draw_general):
+            for j, (ids, _) in enumerate(drawn):
+                rng = np.random.default_rng((seed, 1, a + j))
+                family = random_box_family(int(rng.integers(2, 13)), rng)
+                g = directed_intersection_graph(family)
+                boxes = family.boxes
+                assert family.ids == tuple(ids)
+                assert matrix_pairs(graphs.nest[j]) == g.edges
+                meet = {(x, y) for x in range(g.n) for y in range(g.n) if boxes_intersect(boxes[x], boxes[y])}
+                assert matrix_pairs(graphs.meet[j]) == meet
+                want = reach_joined(g)
+                assert matrix_pairs(joined[j]) == want
+                assert bool(transitive[j]) == is_transitive(g)
+                joined_count += len(want) // 2
+                listed += sum(x < y and (x, y) not in meet for x, y in want)
+        part = harness._scan_general_boxes(seed, 0, 1000)
+        assert (part["joined"], part["sample"].count, part["sample"].entries) == (joined_count, listed, [])
+
+    def test_joined_intersecting_pair(self, monkeypatch):
+        # c -> a -> d and c -> b -> d, while a and b cross without nesting:
+        # the pair (a, b) is joined and not adjacent, and the boxes intersect.
+        c, a, b, d = (0, 1, -10, 10), (-2, 3, -5, 5), (-3, 2, -6, 4), (-10, 10, -1, 0)
+        rows = 2 * np.array([c, a, b, d])
+        transitive, joined = _box_verdicts(_box_graphs([rows]).nest)
+        assert matrix_pairs(joined[0]) == {(1, 2), (2, 1)} and transitive[0]
+        drawn = lambda seed, t: (("c", "a", "b", "d"), rows)
+        monkeypatch.setattr(harness, "_draw_general", drawn)
+        part = harness._scan_general_boxes(0, 0, 3)
+        assert (part["joined"], part["sample"].count, part["sample"].entries) == (3, 0, [])
+        # The graph is not extremely reduced, which the transverse rule flags.
+        monkeypatch.setattr(harness, "_draw_transverse", drawn)
+        assert harness._scan_transverse_boxes(0, 0, 3)["sample"].count == 3
+
+    def test_twelve_boxes(self):
+        spec = ExtremalSpec(4, 5, 4)
+        family = extremal_box_family(spec)
+        graphs = _box_graphs([np.array(_integer_rows(family))])
+        transitive, joined = _box_verdicts(graphs.nest)
+        assert len(family) == 12 and transitive[0]
+        assert matrix_pairs(graphs.nest[0]) == extremal_dag(spec).edges
+        assert matrix_pairs(joined[0]) == reach_joined(directed_intersection_graph(family))
+
+    def test_non_transitive_nest(self):
+        # a -> b -> c without a -> c, and the same graph with a -> c.
+        nest = np.zeros((2, 3, 3), dtype=bool)
+        nest[:, 0, 1] = nest[:, 1, 2] = True
+        nest[1, 0, 2] = True
+        transitive, joined = _box_verdicts(nest)
+        assert transitive.tolist() == [False, True]
+        assert not joined.any()
 
 
 class TestBoxCsv:

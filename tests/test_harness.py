@@ -443,6 +443,15 @@ class TestBoxClaim:
         # An empty trial range makes no shards; only the extremal specs run.
         assert verify_box_props(0, workers=2).checked == 5 * 4 * 6
 
+    def test_without_the_reach_kernel(self, monkeypatch):
+        # The box trials decide on their own matrices; the reach kernel serves the enumeration only.
+        def unused(*args):
+            raise AssertionError("the box claim called the reach kernel")
+
+        monkeypatch.setattr(harness, "_reach_verdicts", unused)
+        report = verify_box_props(300)
+        assert report.ok and report.checked == 300 + 300 + 5 * 4 * 6
+
 
 # The extremal specs of the boxes claim, in the order it checks them.
 BOX_SPECS = [ExtremalSpec(r, l, s) for r in range(1, 6) for l in range(2, 6) for s in range(6)]
@@ -500,6 +509,11 @@ class TestExtremalSpecFailures:
 
 
 class TestWorkers:
+    @pytest.fixture(autouse=True)
+    def five_cpus(self, monkeypatch):
+        # A range is cut into one shard per process, so 2, 3 and 5 workers merge 2, 3 and 5 shards.
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -538,6 +552,20 @@ class TestWorkers:
     def test_fewer_than_one_worker(self, run, workers):
         with pytest.raises(InvalidParamsError, match="workers"):
             run(workers)
+
+    def test_at_most_one_shard_per_cpu(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        real, shards = harness._scan_equiv, []
+
+        def scan(n, start, stop):
+            shards.append(n)
+            return real(n, start, stop)
+
+        monkeypatch.setattr(harness, "_scan_equiv", scan)
+        report = verify_equivalence_transitive(5, workers=10**6)
+        assert pool_sizes == [3]
+        assert [shards.count(n) for n in range(1, 6)] == [1, 2, 3, 3, 3]
+        assert stripped(report) == stripped(verify_equivalence_transitive(5))
 
 
 # The claims with an enumeration range, in table order, and the functions
@@ -674,15 +702,40 @@ def verdict(field, change):
     return wrap
 
 
-def every_pair_joined(real):
-    """Wrap the reach kernel so that every vertex reaches and is reached by every vertex."""
+def untransitive(real):
+    """Wrap the box verdicts so that no graph is transitive."""
 
-    def kernel(*args):
-        v = real(*args)
-        every = np.full_like(v.rf, np.iinfo(v.rf.dtype).max)
-        return v._replace(rf=every, rt=every)
+    def verdicts(nest):
+        transitive, joined = real(nest)
+        return np.zeros_like(transitive), joined
 
-    return kernel
+    return verdicts
+
+
+def general_pairs_joined(monkeypatch):
+    """Join every two distinct boxes of each general trial's family; the transverse trials keep their verdicts.
+
+    The fake box verdicts tell the boxes from the padding by the diagonal
+    of the block's ``meet``, since every box meets itself.
+    """
+    real_scan, real_graphs, real_verdicts = harness._scan_general_boxes, harness._box_graphs, harness._box_verdicts
+    blocks = []
+
+    def graphs(families):
+        blocks.append(real_graphs(families))
+        return blocks[-1]
+
+    def verdicts(nest):
+        box = blocks[-1].meet.diagonal(axis1=1, axis2=2)
+        return real_verdicts(nest)[0], box[:, :, None] & box[:, None, :] & ~np.eye(nest.shape[1], dtype=bool)
+
+    def scan(*args):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_box_graphs", graphs)
+            m.setattr(harness, "_box_verdicts", verdicts)
+            return real_scan(*args)
+
+    monkeypatch.setattr(harness, "_scan_general_boxes", scan)
 
 
 class TestViolationOverflow:
@@ -723,9 +776,9 @@ class TestViolationOverflow:
             ("_reach_verdicts", verdict("extremely", np.logical_not), lambda: verify_equivalence_transitive(5), 407),
             # No closure is transitive: every graph on n <= 4 fails once.
             ("_reach_verdicts", verdict("transitive", np.zeros_like), lambda: verify_closure(4), 75),
-            # Every transverse family's graph now fails the transitivity check;
-            # the general trials read no transitivity verdict.
-            ("_reach_verdicts", verdict("transitive", np.zeros_like), lambda: verify_box_props(25, seed=3), 25),
+            # Every family's graph, transverse or general, now fails the
+            # transitivity check.
+            ("_box_verdicts", untransitive, lambda: verify_box_props(25, seed=3), 50),
         ],
         ids=["implications", "random-agreement", "equiv", "closure", "boxes"],
     )
@@ -751,9 +804,13 @@ class TestViolationOverflow:
 
     @pytest.mark.parametrize("trial_kind", ["transverse", "general"])
     def test_box_props_sharded_with_violations(self, monkeypatch, pool_sizes, trial_kind):
-        # With every pair joined, every disjoint pair of general boxes is a violation.
-        wrong = verdict("extremely", np.logical_not) if trial_kind == "transverse" else every_pair_joined
-        monkeypatch.setattr(harness, "_reach_verdicts", wrong(harness._reach_verdicts))
+        # With no graph transitive, every trial is a violation, the transverse
+        # ones first; with every pair of a general family joined, every
+        # disjoint pair of general boxes is.
+        if trial_kind == "transverse":
+            monkeypatch.setattr(harness, "_box_verdicts", untransitive(harness._box_verdicts))
+        else:
+            general_pairs_joined(monkeypatch)
         report = verify_box_props(60, seed=5)
         assert report.violations[0]["detail"].startswith(trial_kind)
         assert overflow_detail(report).endswith("further violations not listed")
@@ -772,7 +829,7 @@ class TestViolationOverflow:
         # With every pair joined, the listed pairs of each general trial are
         # its disjoint pairs in family order, as the Fraction predicates see
         # them, and every one is counted.
-        monkeypatch.setattr(harness, "_reach_verdicts", every_pair_joined(harness._reach_verdicts))
+        general_pairs_joined(monkeypatch)
         monkeypatch.setattr(harness, "_BOX_BLOCK", 7)
         want, pairs = [], 0
         for t in range(30):
