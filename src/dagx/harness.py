@@ -8,7 +8,12 @@ predicates are cross-checked bit-for-bit against the literal brute-force
 oracles. The theorem, equiv-transitive, closure and separations sweeps
 read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, whose tests check it against the scalar predicates
-on every DAG with n <= 6. The box claim takes every geometric decision
+on every DAG with n <= 6. The edge-bound scans (turan and theorem) read
+longest paths and edge counts off the kernels' sink-extension level
+rows, start each n's running per-ell maxima from those of n - 1 (which
+every n attains, see :func:`_edge_bound_maxima`), and send only the
+masks above the maximum so far or above the bound to the reach kernel.
+The box claim takes every geometric decision
 from :mod:`dagx.boxes` and works on its integer rows throughout: the
 random trials decide a block of families on the nesting and meeting
 matrices of :func:`dagx.boxes._box_graphs` and the verdicts
@@ -263,11 +268,6 @@ class _Sweep(ExitStack):
         )
 
 
-def _max_edges(parts: list[dict]) -> list[int]:
-    """Per-ell edge maximum over the shards of one n."""
-    return [max(column) for column in zip(*(part["max_edges"] for part in parts))]
-
-
 # ---------------------------------------------------------------------------
 # Edge bounds: edges <= B(n, ell) over a class, with equality attained. Every
 # DAG obeys the Turan bound t(n, ell + 1); the reduced classes obey
@@ -280,15 +280,19 @@ _CLASS_PREDICATES = {
 }
 
 
-def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
-    """Per-ell edge maxima of the members of ``klass`` (every DAG when None) and the graphs above the bound."""
+def _scan_edge_bound(n: int, klass: str | None, floor: tuple[int, ...], start: int, stop: int) -> dict:
+    """Per-ell edge maxima of the members of ``klass`` (every DAG when None) and the graphs above the bound.
+
+    ``floor[ell]`` is a maximum the members at n are known to attain
+    (-1 when none is known): the running maximum starts there.
+    """
     if klass is None:
         bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
         detail = lambda e, lv: f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound[lv]}"
     else:
         bound = np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
         detail = lambda e, lv: f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}"
-    max_edges = np.full(n, -1, dtype=np.int8)
+    max_edges = np.array(floor, dtype=np.int8)
     sample = _Sample()
     for a, b in _blocks(start, stop):
         ell, edges = _levels_chunk(n, a, b)
@@ -296,7 +300,7 @@ def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
         # change the outcome; the maximum at the block start gates a
         # superset of those, and the reach kernel decides class
         # membership for the gated masks only.
-        hits = np.flatnonzero(edges > np.minimum(max_edges, bound)[ell])
+        hits = np.flatnonzero(edges > np.minimum(max_edges, bound).take(ell))
         if klass is not None and hits.size:
             succ, pred = _edge_rows(n, a, b)
             hits = hits[getattr(_reach_verdicts(succ[:, hits], pred[:, hits]), klass)]
@@ -306,13 +310,33 @@ def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
     return {"max_edges": max_edges.tolist(), "sample": sample}
 
 
+def _edge_bound_maxima(sweep: _Sweep, max_n: int, klass: str | None) -> Iterator[tuple[int, list[int]]]:
+    """(n, per-ell maxima) of :func:`_scan_edge_bound` for n = 1..max_n, each n's scan started from n - 1's maxima.
+
+    The first ``dag_count(n - 1)`` indices at n are exactly the graphs on
+    n - 1 vertices with vertex n - 1 added as an isolated sink. That sink
+    lies on no path and adds no edge, so the graph keeps its longest path
+    and edge count; its reachability among the other vertices is
+    unchanged and it is no one's ancestor or descendant, so it keeps its
+    class membership. Every maximum at n - 1 (one per ell <= n - 2) is
+    therefore attained at n, and starting from it loses no maximum. The
+    gate still passes every mask above the bound, so no violation is
+    missed either: maxima and violations are those of a scan from -1.
+    """
+    floor = [-1]
+    for n in range(1, max_n + 1):
+        parts = sweep.run(_scan_edge_bound, dag_count(n), n, klass, tuple(floor))
+        max_edges = [max(column) for column in zip(*(part["max_edges"] for part in parts))]
+        yield n, max_edges
+        floor = max_edges + [-1]
+
+
 def verify_turan_bound(max_n: int = 7, *, workers: int = 1) -> VerificationReport:
     """Every enumerated DAG satisfies edges <= t(n, ell + 1), with equality attained."""
     _require_range("turan", max_n, MAX_ENUM_VERTICES)
     observed: dict[str, int] = {}
     with _Sweep(workers) as sweep:
-        for n, parts in sweep.over_n(_scan_edge_bound, max_n, None):
-            max_edges = _max_edges(parts)
+        for n, max_edges in _edge_bound_maxima(sweep, max_n, None):
             for lv in range(n):
                 bound = turan_graph_edges(n, lv + 1)
                 observed[f"{n},{lv}"] = max_edges[lv]
@@ -343,8 +367,7 @@ def verify_theorem_bound(max_n: int = 6, klass: str = "extremely", *, workers: i
     tightness: list[dict] = []
     predicate = _CLASS_PREDICATES[klass]
     with _Sweep(workers) as sweep:
-        for n, parts in sweep.over_n(_scan_edge_bound, max_n, klass):
-            max_edges = _max_edges(parts)
+        for n, max_edges in _edge_bound_maxima(sweep, max_n, klass):
             for lv in range(1, n):
                 bound = reduced_dag_edge_bound(n, lv)
                 instance = extremal_for(n, lv)

@@ -1,33 +1,58 @@
 """Whole-block numpy kernels for the exhaustive sweeps.
 
 A block is a run start..stop-1 of enumeration indices at one n: bit i of
-an index is edge bit i, the pair ``pair_table(n)[i]``. That table groups
-the pairs by their head, so a block's fixed high bits are the predecessor
-sets of its last sinks. Each kernel decodes the block's edge bits once
-and then works on one numpy row per vertex (or pair), so a block of
-thousands of graphs costs O(n^2) numpy operations instead of one
-Python-level graph check per index. Every graph here is forward-labeled:
-edges run from lower to higher vertices. :func:`_reach_verdicts` takes
-the (succ, pred) rows of any such block: those :func:`_edge_rows`
-decodes, or the reach rows it returned itself, which the closure sweep
-feeds back in.
+an index is edge bit i, the pair ``pair_table(n)[i]``. Every graph here
+is forward-labeled: edges run from lower to higher vertices. Each kernel
+works on one numpy row per vertex (or pair), so a block of thousands of
+graphs costs a few numpy operations per vertex instead of one
+Python-level graph check per index.
+
+The level kernel follows the enumeration's colex order. With
+c = C(n - 1, 2), index i at n vertices is the parent i & (2^c - 1), a
+graph on vertices 0..n-2, plus the last vertex n - 1 with predecessor
+set S = i >> c; a slab is a run of indices with one S. Vertex n - 1 has
+no successor, so it is a sink:
+
+* a path ending at v < n - 1 never passes through the sink, so v keeps
+  its parent's level (the edge count of the longest path ending at v);
+* a longest path ending at the sink is empty, or is a longest path
+  ending at some u in S followed by u -> n - 1, so its level is
+  ``1 + max(lev[u] for u in S)``, or 0 when S is empty;
+* ell is the largest level, and the edge count is the parent's plus |S|.
+
+So :func:`_level_rows` builds each slab from its parents' level rows: up
+to 6 vertices those come from a table cached on first use, each table
+built the same way from the one below; above, they are built per call
+from the table one level down. No 7-vertex table is ever held.
+
+:func:`_edge_rows` decodes a block's edge bits into successor and
+predecessor rows. ``pair_table(n)`` groups the pairs by their head, so a
+block's fixed high bits are the predecessor sets of its last sinks and
+only the low bits are decoded. :func:`_reach_verdicts` takes the (succ,
+pred) rows of any block of forward-labeled graphs: those
+:func:`_edge_rows` decodes, or the reach rows it returned itself, which
+the closure sweep feeds back in.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from math import comb
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .generators import pair_table
+from .generators import dag_count, pair_table
+from .graph import bits
 
 # Masks per kernel call, for every kernel: large enough to amortise
 # numpy's per-call cost over the few hundred passes a block takes. On one
 # core of a 2-core x86 box, going from 8192 to 65536 masks cut the reach
-# kernel's time per mask at n = 8 by a factor of 2.7 and
-# verify_theorem_bound(8, k) from 7.9-9.8 s to 5.0-6.1 s per class;
-# verify_turan_bound(8) takes 4.2-4.6 s. A block's work arrays take a few
-# MB: the peak RSS of an n = 8 sweep rose from 31.9 to 35.7 MB.
+# kernel's time per mask at n = 8 by a factor of 2.7. With the level
+# kernel built from sink extensions, verify_turan_bound(8) takes
+# 0.7-1.1 s and verify_theorem_bound(8, k) 0.9-1.4 s per class. A block's
+# work arrays take a few MB: an n = 8 sweep peaks at 32.6 MB RSS (turan)
+# and 35.9 MB (theorem).
 _BLOCK = 65536
 
 
@@ -55,31 +80,86 @@ def _edge_bits(n: int, start: int, stop: int) -> tuple[int, np.ndarray]:
     return k, bit
 
 
-def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
+def _slabs(n: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(S, a, b): start..stop-1 cut where its top n - 1 bits change.
 
-    ``pair_table(n)`` groups the pairs by their head, so every edge into u comes
-    before any edge out of u, and ``lev[u]`` is final when pair (u, v) relaxes
-    ``lev[v] = max(lev[v], bit * (lev[u] + 1))``; pairs whose bit is fixed across
-    the block, edges into its last sinks, are skipped or relaxed unconditionally.
+    Each run has one predecessor set S of the last sink, vertex n - 1,
+    and covers the parent indices a..b-1 at n - 1 vertices, in order.
+    """
+    c = comb(n - 1, 2)
+    for s in range(start >> c, ((stop - 1) >> c) + 1):
+        base = s << c
+        yield s, max(start, base) - base, min(stop, base + (1 << c)) - base
+
+
+def _sink_levels(n: int, start: int, stop: int, lev: np.ndarray, edges: np.ndarray) -> None:
+    """Fill ``lev`` (n rows) and ``edges`` for start..stop-1 at n >= 2 vertices, slab by slab from the parents' rows.
+
+    The rows of vertices 0..n-2 are the parent's; the sink's row is
+    ``1 + max`` of the parent's rows over S, or 0 when S is empty; the
+    edge count is the parent's plus |S|.
+    """
+    j = 0
+    for s, a, b in _slabs(n, start, stop):
+        cols = slice(j, j + b - a)
+        _fill_levels(n - 1, a, b, lev[:-1, cols], edges[cols])
+        sink = lev[-1, cols]
+        sink.fill(-1)
+        for u in bits(s):
+            np.maximum(sink, lev[u, cols], out=sink)
+        sink += 1
+        edges[cols] += s.bit_count()
+        j += b - a
+
+
+@cache
+def _level_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lev, edges) of every index at n vertices, read-only; built on first use from the table at n - 1."""
+    lev = np.zeros((n, dag_count(n)), dtype=np.int8)
+    edges = np.zeros(dag_count(n), dtype=np.int8)
+    if n > 1:
+        _sink_levels(n, 0, dag_count(n), lev, edges)
+    lev.flags.writeable = edges.flags.writeable = False
+    return lev, edges
+
+
+def _fill_levels(n: int, start: int, stop: int, lev: np.ndarray, edges: np.ndarray) -> None:
+    """Fill ``lev`` and ``edges`` as :func:`_level_rows` returns them.
+
+    Up to n = 6 (32,768 indices) they are copied from the cached table,
+    229 KB at n = 6; above, they are built from the table one level down.
+    A 7-vertex table would hold 2^21 indices, 16.8 MB, and an n = 8 sweep
+    needs only the 65,536 of them a block covers.
+    """
+    if n <= 6:
+        table_lev, table_edges = _level_table(n)
+        lev[...] = table_lev[:, start:stop]
+        edges[...] = table_edges[start:stop]
+    else:
+        _sink_levels(n, start, stop, lev, edges)
+
+
+def _level_rows(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lev, edges) of every index in start..stop-1: ``lev[v]`` is the level of vertex v, the longest path ending there.
+
     int8 holds every level and edge count up to n = 16, past any n whose
     enumeration could finish.
     """
-    k, bit = _edge_bits(n, start, stop)
-    bit = bit.view(np.int8)
-    size = stop - start
-    lev = np.zeros((n, size), dtype=np.int8)
-    step = np.empty(size, dtype=np.int8)
-    for i, (u, v) in enumerate(pair_table(n)):
-        if i < k:
-            np.add(lev[u], 1, out=step)
-            np.multiply(step, bit[i], out=step)
-            np.maximum(lev[v], step, out=lev[v])
-        elif start >> i & 1:
-            np.add(lev[u], 1, out=step)
-            np.maximum(lev[v], step, out=lev[v])
-    edges = bit.sum(axis=0, dtype=np.int8)
-    edges += (start >> k).bit_count()
+    lev = np.empty((n, stop - start), dtype=np.int8)
+    edges = np.empty(stop - start, dtype=np.int8)
+    _fill_levels(n, start, stop, lev, edges)
+    return lev, edges
+
+
+def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
+
+    ell is the largest row of :func:`_level_rows`. By the sink recurrence
+    of the module docstring, a slab costs a copy of its parents' rows and
+    |S| row maxima, where a longest-path relaxation would take one pass
+    per pair; the edge counts come with the rows, one add per slab.
+    """
+    lev, edges = _level_rows(n, start, stop)
     return lev.max(axis=0), edges
 
 

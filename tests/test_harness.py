@@ -271,6 +271,54 @@ class TestTheoremAgainstDefinition:
             assert counted_violations(report, "edges with longest path") == expected
 
 
+class TestSeededEdgeBound:
+    """Each n's edge-bound scan starts from the n - 1 maxima; the reports equal those of scans from -1.
+
+    The unseeded run wraps ``_scan_edge_bound`` to drop its floor. With
+    every bound lowered to 0 each graph with an edge violates, so the
+    listed violations show the listing order.
+    """
+
+    @staticmethod
+    def claim(klass):
+        return (lambda **kw: verify_turan_bound(6, **kw)) if klass is None else (lambda **kw: verify_theorem_bound(6, klass, **kw))
+
+    @staticmethod
+    def unseeded(monkeypatch):
+        real = harness._scan_edge_bound
+        monkeypatch.setattr(harness, "_scan_edge_bound", lambda n, klass, floor, a, b: real(n, klass, (-1,) * n, a, b))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("klass", [None, *THEOREM_CLASSES])
+    @pytest.mark.parametrize("bound", ["real", "zero"])
+    def test_reports_equal_unseeded(self, monkeypatch, pool_sizes, klass, workers, bound):
+        if bound == "zero":
+            monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: 0)
+            monkeypatch.setattr(harness, "reduced_dag_edge_bound", lambda n, ell: 0)
+        seeded = stripped(self.claim(klass)(workers=workers))
+        self.unseeded(monkeypatch)
+        assert stripped(self.claim(klass)(workers=workers)) == seeded
+        assert (len(seeded["violations"]) > 1) == (bound == "zero")
+
+    @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
+    def test_seed_gates_fewer_masks(self, monkeypatch, klass):
+        # At n = 6 the seeded gate sends a fraction of the masks to the reach kernel.
+        sent = []
+        real = harness._reach_verdicts
+
+        def kernel(succ, pred):
+            if succ.shape[0] == 6:
+                sent.append(succ.shape[1])
+            return real(succ, pred)
+
+        monkeypatch.setattr(harness, "_reach_verdicts", kernel)
+        verify_theorem_bound(6, klass)
+        seeded, sent[:] = sum(sent), []
+        self.unseeded(monkeypatch)
+        verify_theorem_bound(6, klass)
+        assert seeded < sum(sent) // 2
+
+
 class TestImplicationsClaim:
     def test_exhaustive_plus_random(self):
         report = verify_implications(4, random_trials=100)

@@ -3,8 +3,8 @@ import pytest
 
 import dagx.kernels as kernels
 from dagx.generators import dag_count, dag_from_index
-from dagx.graph import reach_to_masks
-from dagx.kernels import _BLOCK, _blocks, _edge_rows, _reach_verdicts, _row_dtype
+from dagx.graph import levels, reach_to_masks
+from dagx.kernels import _BLOCK, _blocks, _edge_rows, _level_rows, _levels_chunk, _reach_verdicts, _row_dtype
 from dagx.predicates import (
     is_extremely_reduced,
     is_reduced,
@@ -66,3 +66,60 @@ class TestReachKernel:
     @pytest.mark.parametrize("n, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
     def test_row_dtype(self, n, dtype):
         assert _row_dtype(n) == dtype
+
+
+def assert_level_rows_match_scalar(n: int, start: int, stop: int) -> None:
+    """The kernel's per-vertex level rows and edge counts equal ``graph.levels`` and the edge list, mask by mask."""
+    lev, edges = _level_rows(n, start, stop)
+    assert lev.shape == (n, stop - start) and edges.shape == (stop - start,)
+    for j, mask in enumerate(range(start, stop)):
+        g = dag_from_index(n, mask)
+        assert tuple(lev[:, j].tolist()) == levels(g), (n, mask)
+        assert edges[j] == len(g.edges), (n, mask)
+
+
+# The n-vertex index i is the parent i mod 2^C(n - 1, 2) plus a last sink
+# with predecessor set i >> C(n - 1, 2); a slab is a run with one such set.
+SLAB = {7: 1 << 15, 8: 1 << 21}
+
+
+class TestSinkLevels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_mask(self, n):
+        assert_level_rows_match_scalar(n, 0, dag_count(n))
+
+    @pytest.mark.parametrize(
+        "n, start, stop",
+        [
+            (7, SLAB[7] - 300, SLAB[7] + 700),  # crosses from S = 0 to S = {0}
+            (7, 41 * SLAB[7] - 5, 43 * SLAB[7] + 9),  # three slabs, one whole
+            (7, dag_count(7) - 250, dag_count(7)),  # S = every vertex
+            (8, SLAB[8] - 400, SLAB[8] + 600),  # crosses a slab and its parents' slab
+            (8, 5 * SLAB[8] + SLAB[7] - 250, 5 * SLAB[8] + SLAB[7] + 250),  # crosses the parents' slab only
+            (8, 3 * _BLOCK - 100, 3 * _BLOCK + 100),  # straddles a block boundary
+            (8, dag_count(8) - 300, dag_count(8)),  # every pair an edge at the end
+            (8, 123_456_789, 123_456_790),  # a single mask
+        ],
+    )
+    def test_unaligned_ranges(self, n, start, stop):
+        assert_level_rows_match_scalar(n, start, stop)
+
+    @pytest.mark.parametrize("block", [_BLOCK, 1000])
+    @pytest.mark.parametrize(
+        "n, start, stop",
+        [(7, SLAB[7] - 1500, SLAB[7] + 2500), (8, SLAB[8] - 1700, SLAB[8] + 2300), (8, 2 * SLAB[7] - 900, 2 * SLAB[7] + 1100)],
+    )
+    def test_blocks_cross_slabs(self, monkeypatch, block, n, start, stop):
+        # The runs of _BLOCK masks a sweep cuts a range into start and end
+        # inside slabs; together they give what one call over the range gives.
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        whole = _levels_chunk(n, start, stop)
+        parts = [_levels_chunk(n, a, b) for a, b in _blocks(start, stop)]
+        assert len(parts) == -(-(stop - start) // block)
+        for got, want in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(got), want)
+        lev, edges = _level_rows(n, start, stop)
+        assert np.array_equal(whole[0], lev.max(axis=0)) and np.array_equal(whole[1], edges)
+        for j in range(0, stop - start, 97):
+            g = dag_from_index(n, start + j)
+            assert tuple(lev[:, j].tolist()) == levels(g), (n, start + j)
