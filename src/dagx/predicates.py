@@ -77,13 +77,22 @@ def enumerate_paths(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> list
     :class:`~dagx.errors.CapExceededError` beyond ``cap`` paths. Each
     path is the vertex set from :func:`path_vertex_masks` listed in
     topological order, the order in which the path visits it.
+
+    No check in this package calls it. It, :func:`is_sequence_path` and
+    :func:`ordered_union` spell out the strongly-reduced definition word
+    for word; ``literal_strongly_reduced`` in ``tests/test_predicates.py``
+    is written in them and checks :func:`is_strongly_reduced_bruteforce`.
     """
     order = topological_order(g)
     return [tuple(x for x in order if mask >> x & 1) for mask in path_vertex_masks(g, v, w, cap)]
 
 
 def is_sequence_path(g: Dag, seq: tuple[int, ...]) -> bool:
-    """True iff ``seq`` is nonempty and every consecutive pair is an edge."""
+    """True iff ``seq`` is nonempty and every consecutive pair is an edge.
+
+    Part of the definition's vocabulary with :func:`enumerate_paths`; no
+    check in this package calls it.
+    """
     if not seq:
         return False
     if any(not 0 <= v < g.n for v in seq):
@@ -95,7 +104,8 @@ def ordered_union(p: PathSeq, q: PathSeq, order: TopoOrder) -> tuple[int, ...]:
     """Vertices of both paths, sorted by their position in ``order``.
 
     The two paths must share their endpoints; the result need not be a
-    directed path.
+    directed path. Part of the definition's vocabulary with
+    :func:`enumerate_paths`; no check in this package calls it.
     """
     if not p or not q:
         raise EndpointMismatchError("paths must be nonempty")

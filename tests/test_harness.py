@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 from concurrent.futures import Future
 from itertools import combinations
 from math import comb
@@ -435,9 +436,8 @@ class TestCliqueBound:
     def test_detects_a_wrong_bound(self):
         # Sanity-check the search itself: 11 deletions cannot hit all
         # triangles of the 8-clique, but 12 can.
-        triangles = _clique_edge_masks(8, 3, _pair_bits(8))
-        assert not _cover_within(triangles, 11)
-        assert _cover_within(triangles, 12)
+        assert not _cover_within(8, 3, 11)
+        assert _cover_within(8, 3, 12)
 
     def test_pinned_clique_masks(self):
         # The search numbers the pairs by combinations(range(n), 2), whatever the enumeration's pair order.
@@ -457,15 +457,64 @@ class TestCliqueBound:
                 assert max(bin(s).count("1") for s in free) == turan_graph_edges(n, k), (n, k)
                 sizes = {bin(d).count("1") for d in range(1 << pairs) if all(cm & d for cm in cliques)}
                 for b in range(pairs + 1):
-                    assert _cover_within(cliques, b) == (b in sizes), (n, k, b)
+                    assert _cover_within(n, k + 1, b) == (b in sizes), (n, k, b)
 
     def test_finds_the_turan_complement(self):
         # The C(n, 2) - t(n, k) edges inside the Turan graph's parts hit
         # every (k + 1)-clique, so a prune that cuts a live branch fails here.
         for n in range(2, 10):
             for k in range(1, n + 1):
+                assert _cover_within(n, k + 1, comb(n, 2) - turan_graph_edges(n, k)), (n, k)
+
+    def test_orbit_rule_matches_plain_search(self):
+        # A plain branch-and-bound that tries every edge of the first unhit
+        # clique, with no orbit rule and no memo, at the two budgets around
+        # the Turan complement, where the literal oracle above cannot reach.
+        def plain_cover(cliques: list[int], budget: int) -> bool:
+            if not cliques:
+                return True
+            packed = used = 0
+            for cm in cliques:
+                if not cm & used:
+                    used |= cm
+                    packed += 1
+            if packed > budget:
+                return False
+            rest = cliques[0]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if plain_cover([cm for cm in cliques if not cm & low], budget - 1):
+                    return True
+            return False
+
+        for n in (7, 8):
+            for k in range(1, n + 1):
                 cliques = _clique_edge_masks(n, k + 1, _pair_bits(n))
-                assert _cover_within(cliques, comb(n, 2) - turan_graph_edges(n, k)), (n, k)
+                top = comb(n, 2) - turan_graph_edges(n, k)
+                for b in {max(top - 1, 0), top}:
+                    assert _cover_within(n, k + 1, b) == plain_cover(cliques, b), (n, k, b)
+
+    def test_search_stays_small(self):
+        # Counts calls of the search's nested function: the budgets
+        # verify_clique_bound(8) asks for take 604 nodes with the orbit rule
+        # and 7,710 without, so a lost prune fails here.
+        nodes = 0
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code.co_name == "search":
+                nodes += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            for n in range(2, 9):
+                for k in range(1, n):
+                    _cover_within(n, k + 1, comb(n, 2) - turan_graph_edges(n, k) - 1)
+        finally:
+            sys.setprofile(previous)
+        assert nodes <= 1000
 
     def test_range_checked(self):
         with pytest.raises(InvalidParamsError):
