@@ -19,10 +19,17 @@ shortcut that would make the union of their paths a path (see
 :func:`is_strongly_reduced`), which costs O(m * n). The brute-force
 oracles quantify literally over paths and orders, and the two routes
 are cross-checked exhaustively in the test suite.
+
+Both oracles read their paths from one table per graph, built by
+:func:`path_vertex_masks` one target at a time. The strongly-reduced
+oracle does not list topological orders: it walks them as a prefix tree
+with one subtree per downset, checking every union of two joining paths
+as each vertex is placed (see :func:`_orders_keep_paths`).
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Sequence
 
 from .errors import CapExceededError, EndpointMismatchError, VertexRangeError
@@ -31,7 +38,6 @@ from .graph import (
     Dag,
     TopoOrder,
     _require_size,
-    all_topological_orders,
     bits,
     reach_from_masks,
     reach_to_masks,
@@ -49,25 +55,54 @@ def path_vertex_masks(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> li
     Distinct paths have distinct vertex sets (a path visits its vertex
     set in topological order), so this is a faithful path enumeration.
     Raises :class:`~dagx.errors.CapExceededError` beyond ``cap`` paths.
+
+    The lists come from one table per graph, kept on ``g`` and shared by
+    every caller and every ``cap``; see :func:`_fill_paths`.
     """
     if not (0 <= v < g.n and 0 <= w < g.n):
         raise VertexRangeError(f"vertices ({v}, {w}) outside 0..{g.n - 1}")
-    target = 1 << w
-    allowed = reach_to_masks(g)[w] | target
+    table = g._cache.get("paths")
+    if table is None:
+        table = g._cache["paths"] = {}
+    column = table.get(w)
+    if column is None:
+        column = table[w] = {w: [1 << w]}
+    got = column.get(v)
+    if got is None or type(got) is not list and got < cap:
+        got = _fill_paths(g, column, v, w, cap)
+    if type(got) is not list or len(got) > cap:
+        raise CapExceededError(f"more than {cap} paths from {v} to {w}")
+    return list(got)
+
+
+def _fill_paths(g: Dag, column: dict, v: int, w: int, cap: int) -> list[int] | int:
+    """Fill ``column``, the paths to w by source, for every vertex that reaches w; return v's entry.
+
+    Sources are taken in reverse topological order: the paths from u are
+    u joined to the paths from each successor x, for x ascending, which
+    lists them in lexicographic order. A source with more than ``cap``
+    paths gets the number ``cap``, read "more than cap paths", and raises
+    only when asked for; a later call with a larger cap builds it again.
+    """
+    inside = reach_to_masks(g)[w] | 1 << w
     succ = g.succ_masks
-    out: list[int] = []
-
-    def walk(u: int, acc: int) -> None:
-        if u == w:
-            if len(out) >= cap:
-                raise CapExceededError(f"more than {cap} paths from {v} to {w}")
-            out.append(acc)
-            return
-        for x in bits(succ[u] & allowed):
-            walk(x, acc | 1 << x)
-
-    walk(v, 1 << v)
-    return out
+    for u in reversed(topological_order(g)):
+        if u == w or not inside >> u & 1:
+            continue
+        got = column.get(u)
+        if got is not None and (type(got) is list or got >= cap):
+            continue
+        bit = 1 << u
+        out: list[int] = []
+        for x in bits(succ[u] & inside):
+            sub = column[x]
+            if type(sub) is not list or len(out) + len(sub) > cap:
+                column[u] = cap
+                break
+            out += [bit | m for m in sub]
+        else:
+            column[u] = out
+    return column.setdefault(v, [])
 
 
 def enumerate_paths(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> list[PathSeq]:
@@ -262,29 +297,114 @@ def is_strongly_reduced_bruteforce(
 
     Every topological order x every pair of joining paths; the ordered
     union must be a directed path each time. Whether it is depends only
-    on the order and on the union's vertex set, so for each (v, w) the
-    pairs of :func:`path_vertex_masks` are folded into their distinct
-    unions first; every order is then checked against every union, which
-    covers every order and every pair. The orders are listed once the
-    first pair with two joining paths is met; a graph without one passes
-    whatever its number of orders.
+    on the order and on the union's vertex set, so the pairs of
+    :func:`path_vertex_masks` are folded into the distinct unions of all
+    endpoint pairs first, and :func:`_orders_keep_paths` then checks
+    every order against every union.
+
+    The orders are counted once the first pair with two joining paths is
+    met, and more than ``order_cap`` raises there; a graph without such a
+    pair passes whatever its number of orders. A pair with more than
+    ``path_cap`` paths raises too, unless the unions collected before it
+    already fail.
     """
-    orders = None
+    counted = False
+    unions: set[int] = set()
     rf = reach_from_masks(g)
-    succ = g.succ_masks
     for v in range(g.n):
         for w in bits(rf[v]):
-            masks = path_vertex_masks(g, v, w, path_cap)
+            try:
+                masks = path_vertex_masks(g, v, w, path_cap)
+            except CapExceededError:
+                if unions and not _orders_keep_paths(g, unions):
+                    return False
+                raise
             k = len(masks)
             if k < 2:
                 continue
-            if orders is None:
-                orders = all_topological_orders(g, order_cap)
-            unions = {masks[i] | masks[j] for i in range(k) for j in range(i + 1, k)}
-            for order in orders:
-                for u in unions:
-                    seq = [x for x in order if u >> x & 1]
-                    for a, b in zip(seq, seq[1:]):
-                        if not succ[a] >> b & 1:
-                            return False
-    return True
+            if not counted:
+                counted = True
+                if factorial(g.n) > order_cap:  # no graph has more than n! orders
+                    _count_orders(g, order_cap)
+            unions.update(masks[i] | masks[j] for i in range(k) for j in range(i + 1, k))
+    return not unions or _orders_keep_paths(g, unions)
+
+
+def _count_orders(g: Dag, cap: int) -> int:
+    """Number of topological orders of ``g``; more than ``cap`` raises :class:`~dagx.errors.CapExceededError`.
+
+    The orders below a placed set (a downset) depend on that set alone,
+    so each downset is counted once. The running total adds each count
+    taken from the memo, a finished order counting one; these cover
+    disjoint sets of orders, so the total never exceeds the true count
+    and reaches it at the end. It raises once the total passes ``cap``,
+    after no more steps than listing cap + 1 orders would take.
+    """
+    pred = g.pred_masks
+    full = (1 << g.n) - 1
+    memo = {full: 1}
+    total = 0
+
+    def count(placed: int) -> int:
+        nonlocal total
+        got = memo.get(placed)
+        if got is not None:
+            total += got
+            if total > cap:
+                raise CapExceededError(f"more than {cap} topological orders")
+            return got
+        got = 0
+        for x in bits(full ^ placed):
+            if pred[x] & ~placed == 0:
+                got += count(placed | 1 << x)
+        memo[placed] = got
+        return got
+
+    return count(0)
+
+
+def _orders_keep_paths(g: Dag, unions: set[int]) -> bool:
+    """True iff every union in ``unions``, sorted by every topological order, is a directed path.
+
+    The orders are walked as a prefix tree: placing x checks, for each
+    union holding x, the edge from that union's last placed vertex to x.
+    A failed check fails every order through that prefix.
+
+    Subtrees are shared per placed set (a downset). Proof that this
+    still checks every order: in a prefix whose checks all passed, each
+    union's placed vertices are a directed path in the order placed, so
+    its last placed vertex is the path's end, the reachability-maximal
+    placed vertex of the union, which the placed set alone fixes. The
+    checks below a prefix therefore depend on its placed set alone, and
+    so does a prefix's passing: it passes iff each union's placed
+    vertices form a directed path. A downset met again through another
+    prefix has passed, with its whole subtree; every other downset is
+    walked, so each order is checked against each union.
+    """
+    succ = g.succ_masks
+    pred = g.pred_masks
+    members = list(unions)
+    holders = [[i for i, u in enumerate(members) if u >> x & 1] for x in range(g.n)]
+    full = (1 << g.n) - 1
+    seen = {0}
+
+    # ok[i]: the vertices that may come next in union i, the successors of
+    # its last placed vertex; any vertex before the union's first.
+    def extend(placed: int, ok: list[int]) -> bool:
+        for x in bits(full ^ placed):
+            now = placed | 1 << x
+            if pred[x] & ~placed or now in seen:
+                continue
+            mine = holders[x]
+            for i in mine:
+                if not ok[i] >> x & 1:
+                    return False
+            seen.add(now)
+            after = ok[:]
+            for i in mine:
+                after[i] = succ[x]
+            if not extend(now, after):
+                return False
+        return True
+
+    return extend(0, [-1] * len(members))

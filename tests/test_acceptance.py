@@ -186,7 +186,7 @@ def test_criterion_11_implications_and_oracle_agreement_exhaustive_n6():
     elapsed = time.perf_counter() - t0
     assert report.violations == []
     assert report.checked == sum(1 << comb(n, 2) for n in range(1, 7)) == 33_867
-    assert elapsed < 60, f"n=6 implication sweep took {elapsed:.0f}s"
+    assert elapsed < 20, f"n=6 implication sweep took {elapsed:.0f}s"
     passed(
         11,
         f"extremely => strongly => reduced and fast == brute force on all {report.checked} DAGs, n <= 6,"

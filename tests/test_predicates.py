@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import sys
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from dagx import (
     transitive_closure,
 )
 from dagx.generators import dag_count, dag_from_index
-from dagx.predicates import path_vertex_masks
+from dagx.predicates import DEFAULT_PATH_CAP, path_vertex_masks
 
 from conftest import chain, forward_dags
 
@@ -90,6 +91,59 @@ class TestEnumeratePaths:
                     assert p[0] == v and p[-1] == w
                     assert len(set(p)) == len(p)
                     assert is_sequence_path(g, p)
+
+
+def plain_path_masks(g: Dag, v: int, w: int) -> list[int]:
+    """Vertex sets of the v->w paths by a depth-first search over ascending successors."""
+    out = []
+
+    def walk(u, acc):
+        if u == w:
+            out.append(acc)
+            return
+        for x in sorted(b for a, b in g.edges if a == u):
+            walk(x, acc | 1 << x)
+
+    walk(v, 1 << v)
+    return out
+
+
+def small_dags_and_relabelings():
+    """Every DAG with n <= 5, each followed by two relabelings."""
+    for n in range(1, 6):
+        perms = list(permutations(range(n)))
+        for g in enumerate_dags(n):
+            yield g
+            for perm in (perms[len(perms) // 3], perms[-1]):
+                yield Dag(n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestPathTable:
+    def test_matches_plain_search(self):
+        for g in small_dags_and_relabelings():
+            for v in range(g.n):
+                for w in range(g.n):
+                    assert path_vertex_masks(g, v, w) == plain_path_masks(g, v, w), (sorted(g.edges), v, w)
+
+    def test_lists_are_copies(self, diamond):
+        path_vertex_masks(diamond, 0, 3).clear()
+        assert path_vertex_masks(diamond, 0, 3) == [0b1011, 0b1101]
+
+    def test_caps_share_one_table(self):
+        closed = transitive_closure(chain(6))  # 16 paths from 0 to 5, 8 from 0 to 4
+        for caps in ((7, 16, 8, 15, 7), (16, 15, 8, 7, 16)):
+            g = Dag(6, closed.edges)  # a fresh table for each sequence of caps
+            for cap in caps:
+                if cap < 16:
+                    with pytest.raises(CapExceededError, match=f"more than {cap} paths from 0 to 5"):
+                        path_vertex_masks(g, 0, 5, cap)
+                else:
+                    assert path_vertex_masks(g, 0, 5, cap) == plain_path_masks(g, 0, 5)
+                if cap < 8:
+                    with pytest.raises(CapExceededError, match="from 0 to 4"):
+                        path_vertex_masks(g, 0, 4, cap)
+                else:
+                    assert len(path_vertex_masks(g, 0, 4, cap)) == 8
 
 
 class TestOrderedUnion:
@@ -314,17 +368,37 @@ class TestStronglyReducedOracle:
             assert verdicts[-1] == literal_strongly_reduced(g), (n, sorted(g.edges))
         assert any(verdicts) and not all(verdicts)
 
-    def test_every_listed_order_is_checked(self, monkeypatch):
+    def test_walk_visits_every_downset(self):
         # A union that is a path under one topological order is a path under
         # all of them (its edges fix the order of its vertices), so verdicts
-        # cannot show whether the oracle looks past the first order. A
-        # reversed order listed after the real one can.
-        real = predicates.all_topological_orders
-        monkeypatch.setattr(predicates, "all_topological_orders", lambda g, cap: real(g, cap) + [real(g, cap)[0][::-1]])
-        triangle = Dag(3, [(0, 1), (1, 2), (0, 2)])
-        assert not is_strongly_reduced_bruteforce(triangle)
-        monkeypatch.undo()
-        assert is_strongly_reduced_bruteforce(triangle)
+        # cannot show whether the oracle looks past the first order. The
+        # walk's visits can: the triangle's pair (0, 2) has two joining
+        # paths, and on this passing graph every placed set of every order,
+        # each downset, must be visited once.
+        g = Dag(4, [(0, 1), (1, 2), (0, 2)])
+        downsets = [s for s in range(16) if all(s >> a & 1 for a, b in g.edges if s >> b & 1)]
+        assert len(downsets) == 8
+        visits = []
+
+        def watch(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "extend" and code.co_filename == predicates.__file__:
+                visits.append(frame.f_locals["placed"])
+
+        previous = sys.getprofile()
+        sys.setprofile(watch)
+        try:
+            assert is_strongly_reduced_bruteforce(g)
+        finally:
+            sys.setprofile(previous)
+        assert sorted(visits) == downsets
+
+    def test_order_count_matches_listing(self):
+        for g in small_dags_and_relabelings():
+            k = len(all_topological_orders(g))
+            assert predicates._count_orders(g, k) == k
+            with pytest.raises(CapExceededError, match=f"more than {k - 1} topological orders"):
+                predicates._count_orders(g, k - 1)
 
     def test_caps(self, diamond):
         with pytest.raises(CapExceededError):
@@ -332,6 +406,56 @@ class TestStronglyReducedOracle:
         with pytest.raises(CapExceededError):
             is_strongly_reduced_bruteforce(diamond, order_cap=1)
         assert not is_strongly_reduced_bruteforce(diamond, order_cap=2, path_cap=2)
+
+
+# A diamond on 0..3 beside the transitive closure of a 6-chain on 4..9, which
+# has 16 paths from 4 to 9. The diamond's pair (0, 3) comes first and fails.
+DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
+CLOSED_CHAIN = [(4 + a, 4 + b) for a in range(6) for b in range(a + 1, 6)]
+
+
+class TestCapPrecedence:
+    """Where the caps raise, for both oracles, whatever order they do their work in."""
+
+    def test_failing_pair_before_a_capped_pair(self):
+        g = Dag(10, DIAMOND + CLOSED_CHAIN)
+        assert not is_reduced_bruteforce(g, 15)
+        assert not is_strongly_reduced_bruteforce(g, path_cap=15)
+
+    def test_capped_pair_is_named(self):
+        g = Dag(10, CLOSED_CHAIN)
+        with pytest.raises(CapExceededError, match="more than 15 paths from 4 to 9"):
+            is_reduced_bruteforce(g, 15)
+        with pytest.raises(CapExceededError, match="more than 15 paths from 4 to 9"):
+            is_strongly_reduced_bruteforce(g, path_cap=15)
+        assert is_reduced_bruteforce(g, 16)
+        assert is_strongly_reduced_bruteforce(g, path_cap=16)
+
+    def test_order_cap_before_any_union(self):
+        # 420 orders: the diamond's 2, each interleaved with the chain in C(10, 4) ways.
+        g = Dag(10, DIAMOND + CLOSED_CHAIN)
+        assert len(all_topological_orders(g)) == 420
+        for path_cap in (15, DEFAULT_PATH_CAP):
+            with pytest.raises(CapExceededError, match="more than 419 topological orders"):
+                is_strongly_reduced_bruteforce(g, order_cap=419, path_cap=path_cap)
+            assert not is_strongly_reduced_bruteforce(g, order_cap=420, path_cap=path_cap)
+            assert not is_reduced_bruteforce(g, path_cap)
+
+    def test_same_outcomes_in_either_order(self, diamond):
+        cases = [
+            (diamond, {1: "paths from 0 to 3", 2: False, DEFAULT_PATH_CAP: False}),
+            (transitive_closure(chain(6)), {15: "paths from 0 to 5", 16: True, DEFAULT_PATH_CAP: True}),
+        ]
+        for base, want in cases:
+            for caps in (list(want), list(want)[::-1]):
+                g = Dag(base.n, base.edges)  # a fresh table for each sequence of caps
+                for cap in caps:
+                    for oracle in (lambda: is_reduced_bruteforce(g, cap), lambda: is_strongly_reduced_bruteforce(g, path_cap=cap)):
+                        if isinstance(want[cap], str):
+                            with pytest.raises(CapExceededError, match=want[cap]):
+                                oracle()
+                        else:
+                            assert oracle() is want[cap]
 
 
 class TestOracleAgreement:
