@@ -7,12 +7,12 @@ witnesses, and the box claims over seeded random families. Fast
 predicates are cross-checked bit-for-bit against the literal brute-force
 oracles. The theorem, equiv-transitive, closure and separations sweeps
 read their class verdicts off the whole-block reach kernel of
-:mod:`dagx.kernels`, whose tests check it against the scalar predicates
-on every DAG with n <= 6. The edge-bound scans (turan and theorem) read
-longest paths and edge counts off the kernels' sink-extension level
-rows, start each n's running per-ell maxima from those of n - 1 (which
-every n attains, see :func:`_edge_bound_maxima`), and send only the
-masks above the maximum so far or above the bound to the reach kernel.
+:mod:`dagx.kernels`, tested against the scalar predicates for n <= 6.
+Its edge rows and the level rows share one sink recurrence. The
+edge-bound scans (turan and theorem) read longest paths and edge counts
+off the level rows, start each n's running per-ell maxima from those of
+n - 1 (which every n attains, see :func:`_edge_bound_maxima`), and send
+the reach kernel only the masks above the maximum so far or the bound.
 The box claim takes every geometric decision
 from :mod:`dagx.boxes` and works on its integer rows throughout: the
 random trials decide a block of families on the nesting and meeting

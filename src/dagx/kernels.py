@@ -1,37 +1,34 @@
 """Whole-block numpy kernels for the exhaustive sweeps.
 
-A block is a run start..stop-1 of enumeration indices at one n: bit i of
-an index is edge bit i, the pair ``pair_table(n)[i]``. Every graph here
-is forward-labeled: edges run from lower to higher vertices. Each kernel
-works on one numpy row per vertex (or pair), so a block of thousands of
-graphs costs a few numpy operations per vertex instead of one
-Python-level graph check per index.
+A block is a run start..stop-1 of enumeration indices at one n. Every
+graph here is forward-labeled: edges run from lower to higher vertices.
+Each kernel works on one numpy row per vertex (or pair), so a block of
+thousands of graphs costs a few numpy operations per vertex instead of
+one Python-level graph check per index.
 
-The level kernel follows the enumeration's colex order. With
+Both row kinds follow the enumeration's colex order. With
 c = C(n - 1, 2), index i at n vertices is the parent i & (2^c - 1), a
 graph on vertices 0..n-2, plus the last vertex n - 1 with predecessor
 set S = i >> c; a slab is a run of indices with one S. Vertex n - 1 has
-no successor, so it is a sink:
+no successor, so it is a sink, and a slab's rows are its parents' rows
+plus the sink's:
 
-* a path ending at v < n - 1 never passes through the sink, so v keeps
-  its parent's level (the edge count of the longest path ending at v);
-* a longest path ending at the sink is empty, or is a longest path
-  ending at some u in S followed by u -> n - 1, so its level is
-  ``1 + max(lev[u] for u in S)``, or 0 when S is empty;
-* ell is the largest level, and the edge count is the parent's plus |S|.
+* levels: a path ending at v < n - 1 never passes through the sink, so
+  v keeps its parent's level (the edge count of the longest path ending
+  at v); a longest path ending at the sink is empty, or is one ending at
+  some u in S followed by u -> n - 1, so the sink's level is
+  ``1 + max(lev[u] for u in S)``, or 0 when S is empty; the edge count
+  is the parent's plus |S|;
+* edges: the sink's successor set is empty and its predecessor set is
+  S, and each u in S gains the successor n - 1.
 
-So :func:`_level_rows` builds each slab from its parents' level rows: up
-to 6 vertices those come from a table cached on first use, each table
-built the same way from the one below; above, they are built per call
-from the table one level down. No 7-vertex table is ever held.
-
-:func:`_edge_rows` decodes a block's edge bits into successor and
-predecessor rows. ``pair_table(n)`` groups the pairs by their head, so a
-block's fixed high bits are the predecessor sets of its last sinks and
-only the low bits are decoded. :func:`_reach_verdicts` takes the (succ,
-pred) rows of any block of forward-labeled graphs: those
-:func:`_edge_rows` decodes, or the reach rows it returned itself, which
-the closure sweep feeds back in.
+So :func:`_sink_rows` builds each slab from its parents' rows: up to
+the n whose table of every index fits in ``_TABLE_BYTES``, those come
+from a table cached on first use, each table built the same way from
+the one below; above, they are built per call from the rows one level
+down. :func:`_reach_verdicts` takes the (succ, pred) rows of any block:
+those :func:`_edge_rows` returns, or the reach rows it returned itself,
+which the closure sweep feeds back in.
 """
 
 from __future__ import annotations
@@ -42,42 +39,31 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .generators import dag_count, pair_table
+from .generators import dag_count
 from .graph import bits
 
 # Masks per kernel call, for every kernel: large enough to amortise
 # numpy's per-call cost over the few hundred passes a block takes. On one
 # core of a 2-core x86 box, going from 8192 to 65536 masks cut the reach
-# kernel's time per mask at n = 8 by a factor of 2.7. With the level
-# kernel built from sink extensions, verify_turan_bound(8) takes
-# 0.7-1.1 s and verify_theorem_bound(8, k) 0.9-1.4 s per class. A block's
-# work arrays take a few MB: an n = 8 sweep peaks at 32.6 MB RSS (turan)
-# and 35.9 MB (theorem).
+# kernel's time per mask at n = 8 by a factor of 2.7. With both row kinds
+# built from sink extensions, verify_turan_bound(8) takes about 0.65 s and
+# verify_theorem_bound(8, k) about 0.8 s per class. A block's work arrays
+# take a few MB: an n = 8 sweep peaks at 32.5 MB RSS (turan) and 34.4 MB
+# (theorem).
 _BLOCK = 65536
+
+# The largest table a row kind keeps for one n: levels keep tables up to
+# n = 6 (n + 1 bytes per index, 229 KB) and edges up to n = 5 (2n bytes,
+# 10 KB). A 7-vertex level table would hold 16.8 MB; a 6-vertex edge
+# table would add 393 KB to every sweep's peak RSS to save a few cheap
+# 1024-index slabs per block.
+_TABLE_BYTES = 1 << 18
 
 
 def _blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
     """The runs of at most ``_BLOCK`` masks that cover start..stop-1, in order."""
     for a in range(start, stop, _BLOCK):
         yield a, min(a + _BLOCK, stop)
-
-
-def _edge_bits(n: int, start: int, stop: int) -> tuple[int, np.ndarray]:
-    """(k, bit): ``bit[i]`` holds edge bit i (0 or 1, uint8) of every index in start..stop-1, for i < k.
-
-    Bits above the highest bit in which start and stop - 1 differ are the
-    same for the whole block, so only the low k are decoded; a pair
-    i >= k, an edge into a late sink, keeps the bit ``start >> i & 1``.
-    """
-    size = stop - start
-    k = min(len(pair_table(n)), (start ^ (stop - 1)).bit_length())
-    raw = np.arange(start, stop, dtype="<u8").view(np.uint8).reshape(size, 8)[:, : -(-k // 8)]
-    byte = np.ascontiguousarray(raw.T)
-    bit = np.empty((k, size), dtype=np.uint8)
-    for i in range(k):
-        np.right_shift(byte[i >> 3], np.uint8(i & 7), out=bit[i])
-        np.bitwise_and(bit[i], np.uint8(1), out=bit[i])
-    return k, bit
 
 
 def _slabs(n: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
@@ -92,102 +78,101 @@ def _slabs(n: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
         yield s, max(start, base) - base, min(stop, base + (1 << c)) - base
 
 
-def _sink_levels(n: int, start: int, stop: int, lev: np.ndarray, edges: np.ndarray) -> None:
-    """Fill ``lev`` (n rows) and ``edges`` for start..stop-1 at n >= 2 vertices, slab by slab from the parents' rows.
-
-    The rows of vertices 0..n-2 are the parent's; the sink's row is
-    ``1 + max`` of the parent's rows over S, or 0 when S is empty; the
-    edge count is the parent's plus |S|.
-    """
-    j = 0
-    for s, a, b in _slabs(n, start, stop):
-        cols = slice(j, j + b - a)
-        _fill_levels(n - 1, a, b, lev[:-1, cols], edges[cols])
-        sink = lev[-1, cols]
-        sink.fill(-1)
-        for u in bits(s):
-            np.maximum(sink, lev[u, cols], out=sink)
-        sink += 1
-        edges[cols] += s.bit_count()
-        j += b - a
-
-
-@cache
-def _level_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lev, edges) of every index at n vertices, read-only; built on first use from the table at n - 1."""
-    lev = np.zeros((n, dag_count(n)), dtype=np.int8)
-    edges = np.zeros(dag_count(n), dtype=np.int8)
-    if n > 1:
-        _sink_levels(n, 0, dag_count(n), lev, edges)
-    lev.flags.writeable = edges.flags.writeable = False
-    return lev, edges
-
-
-def _fill_levels(n: int, start: int, stop: int, lev: np.ndarray, edges: np.ndarray) -> None:
-    """Fill ``lev`` and ``edges`` as :func:`_level_rows` returns them.
-
-    Up to n = 6 (32,768 indices) they are copied from the cached table,
-    229 KB at n = 6; above, they are built from the table one level down.
-    A 7-vertex table would hold 2^21 indices, 16.8 MB, and an n = 8 sweep
-    needs only the 65,536 of them a block covers.
-    """
-    if n <= 6:
-        table_lev, table_edges = _level_table(n)
-        lev[...] = table_lev[:, start:stop]
-        edges[...] = table_edges[start:stop]
-    else:
-        _sink_levels(n, start, stop, lev, edges)
-
-
-def _level_rows(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lev, edges) of every index in start..stop-1: ``lev[v]`` is the level of vertex v, the longest path ending there.
-
-    int8 holds every level and edge count up to n = 16, past any n whose
-    enumeration could finish.
-    """
-    lev = np.empty((n, stop - start), dtype=np.int8)
-    edges = np.empty(stop - start, dtype=np.int8)
-    _fill_levels(n, start, stop, lev, edges)
-    return lev, edges
-
-
-def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
-
-    ell is the largest row of :func:`_level_rows`. By the sink recurrence
-    of the module docstring, a slab costs a copy of its parents' rows and
-    |S| row maxima, where a longest-path relaxation would take one pass
-    per pair; the edge counts come with the rows, one add per slab.
-    """
-    lev, edges = _level_rows(n, start, stop)
-    return lev.max(axis=0), edges
-
-
 def _row_dtype(n: int) -> np.dtype:
     """The narrowest unsigned dtype holding an n-bit vertex set: uint8 up to n = 8, wider above."""
     return np.min_scalar_type((1 << n) - 1)
 
 
-def _edge_rows(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(succ, pred): the successor and predecessor sets of every vertex, one row per vertex.
+def _empty(kind: str, n: int, size: int) -> np.ndarray:
+    """Unfilled rows of ``kind`` for ``size`` indices at n vertices.
 
-    Row v holds, for each index in start..stop-1, the bitmask of v's
-    successors (or predecessors) in that graph.
+    "levels" are n + 1 int8 rows, the edge count and then ``lev[v]``
+    (int8 holds both up to n = 16, past any n whose enumeration could
+    finish); "edges" are n pairs of rows (``succ[v]``, ``pred[v]``). A
+    parent's rows are all but the last (pair), so a slab's parents fill
+    ``rows[:-1]``.
     """
-    k, bit = _edge_bits(n, start, stop)
-    dtype = _row_dtype(n)
-    succ = np.zeros((n, stop - start), dtype=dtype)
-    pred = np.zeros_like(succ)
-    one = [dtype.type(1 << v) for v in range(n)]
-    for i, (u, v) in enumerate(pair_table(n)):
-        if i < k:
-            b = bit[i].astype(dtype, copy=False)
-            succ[u] |= b * one[v]
-            pred[v] |= b * one[u]
-        elif start >> i & 1:
-            succ[u] |= one[v]
-            pred[v] |= one[u]
-    return succ, pred
+    if kind == "levels":
+        return np.empty((n + 1, size), dtype=np.int8)
+    return np.empty((n, 2, size), dtype=_row_dtype(n))
+
+
+@cache
+def _table_fits(kind: str, n: int) -> bool:
+    """Whether the ``kind`` rows of every index at n vertices fit in ``_TABLE_BYTES``."""
+    return _empty(kind, n, 1).nbytes * dag_count(n) <= _TABLE_BYTES
+
+
+@cache
+def _table(kind: str, n: int) -> np.ndarray:
+    """The ``kind`` rows of every index at n vertices, read-only; built on first use from the table at n - 1."""
+    rows = _empty(kind, n, dag_count(n))
+    if n == 1:
+        rows.fill(0)
+    else:
+        _sink_rows(kind, n, 0, dag_count(n), rows)
+    rows.flags.writeable = False
+    return rows
+
+
+def _sink_rows(kind: str, n: int, start: int, stop: int, rows: np.ndarray) -> np.ndarray:
+    """Fill and return ``rows``, the ``kind`` rows of start..stop-1 at n >= 2 vertices, slab by slab from the parents' rows."""
+    j = 0
+    for s, a, b in _slabs(n, start, stop):
+        slab = rows[..., j : j + b - a]
+        if _table_fits(kind, n - 1):
+            slab[:-1] = _table(kind, n - 1)[..., a:b]
+        else:
+            _sink_rows(kind, n - 1, a, b, slab[:-1])
+        if kind == "levels":
+            sink = slab[-1]
+            sink.fill(-1)
+            for u in bits(s):
+                np.maximum(sink, slab[1 + u], out=sink)
+            sink += 1
+            slab[0] += s.bit_count()
+        else:
+            slab[-1, 0] = 0
+            slab[-1, 1] = s
+            for u in bits(s):
+                slab[u, 0] |= slab.dtype.type(1 << (n - 1))
+        j += b - a
+    return rows
+
+
+def _rows(kind: str, n: int, start: int, stop: int) -> np.ndarray:
+    """The ``kind`` rows of start..stop-1 at n vertices: read-only views of the table where it fits, else built."""
+    if _table_fits(kind, n):
+        return _table(kind, n)[..., start:stop]
+    return _sink_rows(kind, n, start, stop, _empty(kind, n, stop - start))
+
+
+def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
+
+    ell is the largest ``lev`` row. By the sink recurrence of the module
+    docstring, a slab costs a copy of its parents' rows and |S| row
+    maxima, where a longest-path relaxation would take one pass per pair.
+    Above the table ceiling the rows are built and reduced one slab of
+    ``dag_count(n - 1)`` indices at a time: at n = 7 a whole block's rows,
+    512 KB, would not fit the heap the smaller edge rows of the theorem
+    scan leave behind, and a turan scan after it read about 0.3 MB more
+    peak RSS.
+    """
+    ell, edges = np.empty((2, stop - start), dtype=np.int8)
+    step = dag_count(n if _table_fits("levels", n) else n - 1)
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
+        rows = _rows("levels", n, a, b)
+        rows[1:].max(axis=0, out=ell[a - start : b - start])
+        edges[a - start : b - start] = rows[0]
+    return ell, edges
+
+
+def _edge_rows(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(succ, pred): row v holds, for each index in start..stop-1, the bitmask of v's successors (predecessors)."""
+    rows = _rows("edges", n, start, stop)
+    return rows[:, 0], rows[:, 1]
 
 
 class ReachVerdicts(NamedTuple):

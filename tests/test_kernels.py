@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
+import dagx.generators as generators
 import dagx.kernels as kernels
+from dagx.errors import CycleError
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import levels, reach_to_masks
-from dagx.kernels import _BLOCK, _blocks, _edge_rows, _level_rows, _levels_chunk, _reach_verdicts, _row_dtype
+from dagx.kernels import (
+    _BLOCK,
+    _TABLE_BYTES,
+    _blocks,
+    _edge_rows,
+    _levels_chunk,
+    _reach_verdicts,
+    _row_dtype,
+    _rows,
+    _table,
+    _table_fits,
+)
 from dagx.predicates import (
     is_extremely_reduced,
     is_reduced,
@@ -31,6 +44,20 @@ def assert_reach_matches_scalar(n: int, start: int, stop: int) -> None:
         assert got == want, (n, mask)
 
 
+# The n-vertex index i is the parent i mod 2^C(n - 1, 2) plus a last sink
+# with predecessor set i >> C(n - 1, 2); a slab is a run with one such set.
+SLAB = {6: 1 << 10, 7: 1 << 15, 8: 1 << 21}
+
+# Ranges at n = 8 that cross a slab, its parents' slab or a block boundary.
+N8_RANGES = [
+    (8, SLAB[8] - 400, SLAB[8] + 600),  # crosses a slab and its parents' slab
+    (8, 5 * SLAB[8] + SLAB[7] - 250, 5 * SLAB[8] + SLAB[7] + 250),  # crosses the parents' slab only
+    (8, 3 * _BLOCK - 100, 3 * _BLOCK + 100),  # straddles a block boundary
+    (8, dag_count(8) - 300, dag_count(8)),  # every pair an edge at the end
+    (8, 123_456_789, 123_456_790),  # a single mask
+]
+
+
 class TestReachKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_mask(self, n):
@@ -39,13 +66,16 @@ class TestReachKernel:
     @pytest.mark.parametrize(
         "n, start, stop",
         [
+            (6, 3 * SLAB[6] - 37, 3 * SLAB[6] + 91),  # crosses a slab of 5-vertex table rows
+            (7, SLAB[7] - 37, SLAB[7] + 91),  # crosses from S = 0 to S = {0}
             (7, _BLOCK - 37, _BLOCK + 91),  # straddles a block boundary
             (7, 5 * 8192 + 17, 6 * 8192 + 200),  # unaligned
             (7, (1 << 20) - 150, (1 << 20) + 150),  # the top bit flips inside the range
-            (7, dag_count(7) - 300, dag_count(7)),  # fixed high bits all set
-            (7, 1_234_567, 1_234_568),  # a single mask, every bit fixed
+            (7, dag_count(7) - 300, dag_count(7)),  # S = every vertex
+            (7, 1_234_567, 1_234_568),  # a single mask
             (9, dag_count(9) - 200, dag_count(9)),  # uint16 rows, vertex 8 in every row
-        ],
+        ]
+        + N8_RANGES,
     )
     def test_unaligned_ranges(self, n, start, stop):
         assert_reach_matches_scalar(n, start, stop)
@@ -70,17 +100,13 @@ class TestReachKernel:
 
 def assert_level_rows_match_scalar(n: int, start: int, stop: int) -> None:
     """The kernel's per-vertex level rows and edge counts equal ``graph.levels`` and the edge list, mask by mask."""
-    lev, edges = _level_rows(n, start, stop)
-    assert lev.shape == (n, stop - start) and edges.shape == (stop - start,)
+    rows = _rows("levels", n, start, stop)
+    assert rows.shape == (n + 1, stop - start)
+    edges, lev = rows[0], rows[1:]
     for j, mask in enumerate(range(start, stop)):
         g = dag_from_index(n, mask)
         assert tuple(lev[:, j].tolist()) == levels(g), (n, mask)
         assert edges[j] == len(g.edges), (n, mask)
-
-
-# The n-vertex index i is the parent i mod 2^C(n - 1, 2) plus a last sink
-# with predecessor set i >> C(n - 1, 2); a slab is a run with one such set.
-SLAB = {7: 1 << 15, 8: 1 << 21}
 
 
 class TestSinkLevels:
@@ -94,12 +120,8 @@ class TestSinkLevels:
             (7, SLAB[7] - 300, SLAB[7] + 700),  # crosses from S = 0 to S = {0}
             (7, 41 * SLAB[7] - 5, 43 * SLAB[7] + 9),  # three slabs, one whole
             (7, dag_count(7) - 250, dag_count(7)),  # S = every vertex
-            (8, SLAB[8] - 400, SLAB[8] + 600),  # crosses a slab and its parents' slab
-            (8, 5 * SLAB[8] + SLAB[7] - 250, 5 * SLAB[8] + SLAB[7] + 250),  # crosses the parents' slab only
-            (8, 3 * _BLOCK - 100, 3 * _BLOCK + 100),  # straddles a block boundary
-            (8, dag_count(8) - 300, dag_count(8)),  # every pair an edge at the end
-            (8, 123_456_789, 123_456_790),  # a single mask
-        ],
+        ]
+        + N8_RANGES,
     )
     def test_unaligned_ranges(self, n, start, stop):
         assert_level_rows_match_scalar(n, start, stop)
@@ -107,19 +129,67 @@ class TestSinkLevels:
     @pytest.mark.parametrize("block", [_BLOCK, 1000])
     @pytest.mark.parametrize(
         "n, start, stop",
-        [(7, SLAB[7] - 1500, SLAB[7] + 2500), (8, SLAB[8] - 1700, SLAB[8] + 2300), (8, 2 * SLAB[7] - 900, 2 * SLAB[7] + 1100)],
+        [
+            (7, SLAB[7] - 1500, SLAB[7] + 2500),
+            (7, SLAB[7] - 1500, 3 * SLAB[7] + 2500),  # three slab-sized pieces in one call
+            (8, SLAB[8] - 1700, SLAB[8] + 2300),
+            (8, 2 * SLAB[7] - 900, 2 * SLAB[7] + 1100),
+        ],
     )
     def test_blocks_cross_slabs(self, monkeypatch, block, n, start, stop):
         # The runs of _BLOCK masks a sweep cuts a range into start and end
-        # inside slabs; together they give what one call over the range gives.
+        # inside slabs; together they give what one call over the range gives,
+        # and so do the slab-sized pieces _levels_chunk builds above the table
+        # ceiling, which start where the range starts, not on a slab.
         monkeypatch.setattr(kernels, "_BLOCK", block)
         whole = _levels_chunk(n, start, stop)
         parts = [_levels_chunk(n, a, b) for a, b in _blocks(start, stop)]
         assert len(parts) == -(-(stop - start) // block)
         for got, want in zip(zip(*parts), whole):
             assert np.array_equal(np.concatenate(got), want)
-        lev, edges = _level_rows(n, start, stop)
-        assert np.array_equal(whole[0], lev.max(axis=0)) and np.array_equal(whole[1], edges)
+        rows = _rows("levels", n, start, stop)
+        assert np.array_equal(whole[0], rows[1:].max(axis=0)) and np.array_equal(whole[1], rows[0])
         for j in range(0, stop - start, 97):
             g = dag_from_index(n, start + j)
-            assert tuple(lev[:, j].tolist()) == levels(g), (n, start + j)
+            assert tuple(rows[1:, j].tolist()) == levels(g), (n, start + j)
+
+
+class TestTables:
+    def test_ceiling_from_one_byte_cap(self):
+        # A kind keeps a table for each n whose rows of every index fit in
+        # _TABLE_BYTES: n + 1 int8 rows per index for levels, 2n uint8 rows
+        # for edges.
+        ceiling = {kind: max(n for n in range(1, 10) if _table_fits(kind, n)) for kind in ("levels", "edges")}
+        assert ceiling == {"levels": 6, "edges": 5}
+        assert [n for n in range(1, 10) if _table_fits("levels", n)] == list(range(1, 7))
+        assert _table("levels", 6).nbytes == 229_376 <= _TABLE_BYTES
+        assert _table("edges", 5).nbytes == 10_240
+
+    @pytest.mark.parametrize("kind, ceiling", [("levels", 6), ("edges", 5)])
+    def test_rows_below_the_ceiling_are_read_only(self, kind, ceiling):
+        # Up to its ceiling a kind returns views of its cached table: a
+        # write raises, so no caller can corrupt the table.
+        for n in range(1, ceiling + 1):
+            rows = _rows(kind, n, 0, dag_count(n))
+            assert rows.base is _table(kind, n)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[..., -1] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            _edge_rows(5, 3, 40)[1][0] = 1
+        assert _rows(kind, ceiling + 1, 0, 10).flags.writeable
+
+    def test_no_pair_table(self, monkeypatch):
+        # The kernels build rows from the sink recurrence alone, so the
+        # scalar checks above compare two independent decoders: a corrupt
+        # pair table breaks dag_from_index but not the kernel rows.
+        want = _edge_rows(7, SLAB[7] - 300, SLAB[7] + 300)
+        monkeypatch.setattr(generators, "pair_table", lambda n: ((0, 1), (1, 2), (2, 0)))
+        with pytest.raises(CycleError):
+            dag_from_index(3, 7)
+        assert not hasattr(kernels, "pair_table")
+        _table.cache_clear()
+        try:
+            got = _edge_rows(7, SLAB[7] - 300, SLAB[7] + 300)
+        finally:
+            _table.cache_clear()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
