@@ -80,8 +80,8 @@ class Dag:
         _require_size(n, "vertex count")
         try:
             pairs = [(index(u), index(v)) for u, v in edges]
-        except TypeError:
-            raise VertexRangeError("edge endpoints must be integers") from None
+        except (TypeError, ValueError):
+            raise VertexRangeError("each edge must be a pair of integers") from None
         succ = [0] * n
         pred = [0] * n
         forward = True

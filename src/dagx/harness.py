@@ -8,11 +8,11 @@ predicates are cross-checked bit-for-bit against the literal brute-force
 oracles. The theorem, equiv-transitive, closure and separations sweeps
 read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, tested against the scalar predicates for n <= 6.
-Its edge rows and the level rows share one sink recurrence. The
+Its input rows are bit fields of the enumeration index. The
 edge-bound scans (turan and theorem) read longest paths and edge counts
 off the level rows, start each n's running per-ell maxima from those of
-n - 1 (which every n attains, see :func:`_edge_bound_maxima`), and send
-the reach kernel only the masks above the maximum so far or the bound.
+n - 1 (which every n attains, see :func:`_edge_bound_maxima`), and decode
+for the reach kernel only the masks above the maximum so far or the bound.
 The box claim takes every geometric decision
 from :mod:`dagx.boxes` and works on its integer rows throughout: the
 random trials decide a block of families on the nesting and meeting
@@ -78,7 +78,7 @@ from .predicates import (
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
 )
-from .kernels import _blocks, _edge_rows, _levels_chunk, _reach_verdicts
+from .kernels import _blocks, _levels_chunk, _pred_rows, _reach_verdicts
 
 DEFAULT_SEED = 271828
 
@@ -304,8 +304,7 @@ def _scan_edge_bound(n: int, klass: str | None, floor: tuple[int, ...], start: i
         # membership for the gated masks only.
         hits = np.flatnonzero(edges > np.minimum(max_edges, bound).take(ell))
         if klass is not None and hits.size:
-            succ, pred = _edge_rows(n, a, b)
-            hits = hits[getattr(_reach_verdicts(succ[:, hits], pred[:, hits]), klass)]
+            hits = hits[getattr(_reach_verdicts(_pred_rows(n, a + hits)), klass)]
         np.maximum.at(max_edges, ell[hits], edges[hits])
         over = hits[edges[hits] > bound[ell[hits]]]
         sample.extend(over.size, _mask_entries(n, a, over, lambda j: [detail(edges[j], ell[j])]))
@@ -484,7 +483,7 @@ def _scan_equiv(n: int, start: int, stop: int) -> dict:
     sample = _Sample()
     transitive_count = 0
     for a, b in _blocks(start, stop):
-        v = _reach_verdicts(*_edge_rows(n, a, b))
+        v = _reach_verdicts(_pred_rows(n, np.arange(a, b)))
         transitive_count += int(np.count_nonzero(v.transitive))
         hits = np.flatnonzero(v.transitive & ((v.extremely != v.strongly) | (v.strongly != v.reduced)))
         details = lambda j: [
@@ -518,20 +517,20 @@ _CLOSURE_FAULTS = (
 
 
 def _scan_closure(n: int, start: int, stop: int) -> dict:
-    # The closure's successor rows are the input's rf rows, and its
-    # predecessor rows the input's rt rows; the closure's own verdicts and
-    # reach rows come from running the kernel on those.
+    # The closure's predecessor rows are the input's rt rows; the
+    # closure's own verdicts and reach rows come from running the kernel
+    # on those.
     sample = _Sample()
     reduced_count = 0
     for a, b in _blocks(start, stop):
-        succ, pred = _edge_rows(n, a, b)
-        g = _reach_verdicts(succ, pred)
-        c = _reach_verdicts(g.rf, g.rt)
+        pred = _pred_rows(n, np.arange(a, b))
+        g = _reach_verdicts(pred)
+        c = _reach_verdicts(g.rt)
         faults = np.stack(
             [
                 ~c.transitive,
-                (succ & ~g.rf).any(axis=0),
-                (c.rf != g.rf).any(axis=0),
+                (pred & ~g.rt).any(axis=0),
+                (c.rt != g.rt).any(axis=0),
                 g.reduced & ~(c.reduced & c.strongly & c.extremely),
             ]
         )
@@ -563,7 +562,7 @@ def _scan_separations(n: int, start: int, stop: int) -> dict:
     # reduced, and strongly but not extremely reduced.
     first: list[int | None] = [None, None]
     for a, b in _blocks(start, stop):
-        v = _reach_verdicts(*_edge_rows(n, a, b))
+        v = _reach_verdicts(_pred_rows(n, np.arange(a, b)))
         for kind, hits in enumerate((v.reduced & ~v.strongly, v.strongly & ~v.extremely)):
             if first[kind] is None and hits.any():
                 first[kind] = a + int(hits.argmax())

@@ -81,6 +81,11 @@ class TestConstruction:
         with pytest.raises(VertexRangeError):
             Dag(3, [(0.5, 1)])
 
+    @pytest.mark.parametrize("edge", [(0,), (0, 1, 2), 5])
+    def test_edge_not_a_pair(self, edge):
+        with pytest.raises(VertexRangeError, match="pair"):
+            Dag(3, [edge])
+
     def test_bad_vertex_count(self):
         with pytest.raises(InvalidParamsError):
             Dag(0)

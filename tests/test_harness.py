@@ -307,10 +307,10 @@ class TestSeededEdgeBound:
         sent = []
         real = harness._reach_verdicts
 
-        def kernel(succ, pred):
-            if succ.shape[0] == 6:
-                sent.append(succ.shape[1])
-            return real(succ, pred)
+        def kernel(pred):
+            if pred.shape[0] == 6:
+                sent.append(pred.shape[1])
+            return real(pred)
 
         monkeypatch.setattr(harness, "_reach_verdicts", kernel)
         verify_theorem_bound(6, klass)
@@ -377,9 +377,9 @@ class TestSeparations:
         """Replace the reach kernel's verdicts by ``change(verdicts)`` on graphs with n vertices."""
         real = harness._reach_verdicts
 
-        def kernel(succ, pred):
-            v = real(succ, pred)
-            return change(v) if succ.shape[0] == n else v
+        def kernel(pred):
+            v = real(pred)
+            return change(v) if pred.shape[0] == n else v
 
         monkeypatch.setattr(harness, "_reach_verdicts", kernel)
 

@@ -10,8 +10,8 @@ from dagx.kernels import (
     _BLOCK,
     _TABLE_BYTES,
     _blocks,
-    _edge_rows,
     _levels_chunk,
+    _pred_rows,
     _reach_verdicts,
     _row_dtype,
     _rows,
@@ -27,15 +27,14 @@ from dagx.predicates import (
 )
 
 
-def assert_reach_matches_scalar(n: int, start: int, stop: int) -> None:
-    """The kernel's rows and verdicts equal the scalar predicates, mask by mask."""
-    succ, pred = _edge_rows(n, start, stop)
-    v = _reach_verdicts(succ, pred)
-    assert v.rf.shape == v.rt.shape == (n, stop - start)
-    assert v.rf.dtype == _row_dtype(n)
-    for j, mask in enumerate(range(start, stop)):
+def assert_reach_matches_scalar(n: int, index: np.ndarray) -> None:
+    """The decoded predecessor rows, and the kernel's rows and verdicts on them, equal the scalar graph's, mask by mask."""
+    pred = _pred_rows(n, index)
+    v = _reach_verdicts(pred)
+    assert pred.shape == v.rf.shape == v.rt.shape == (n, index.size)
+    assert pred.dtype == v.rf.dtype == _row_dtype(n)
+    for j, mask in enumerate(index.tolist()):
         g = dag_from_index(n, mask)
-        assert [int(row) for row in succ[:, j]] == list(g.succ_masks), (n, mask)
         assert [int(row) for row in pred[:, j]] == list(g.pred_masks), (n, mask)
         assert [int(row) for row in v.rf[:, j]] == list(transitive_closure(g).succ_masks), (n, mask)
         assert [int(row) for row in v.rt[:, j]] == list(reach_to_masks(g)), (n, mask)
@@ -61,12 +60,12 @@ N8_RANGES = [
 class TestReachKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_mask(self, n):
-        assert_reach_matches_scalar(n, 0, dag_count(n))
+        assert_reach_matches_scalar(n, np.arange(dag_count(n)))
 
     @pytest.mark.parametrize(
         "n, start, stop",
         [
-            (6, 3 * SLAB[6] - 37, 3 * SLAB[6] + 91),  # crosses a slab of 5-vertex table rows
+            (6, 3 * SLAB[6] - 37, 3 * SLAB[6] + 91),  # crosses from S = {1} to S = {0, 1}
             (7, SLAB[7] - 37, SLAB[7] + 91),  # crosses from S = 0 to S = {0}
             (7, _BLOCK - 37, _BLOCK + 91),  # straddles a block boundary
             (7, 5 * 8192 + 17, 6 * 8192 + 200),  # unaligned
@@ -78,7 +77,40 @@ class TestReachKernel:
         + N8_RANGES,
     )
     def test_unaligned_ranges(self, n, start, stop):
-        assert_reach_matches_scalar(n, start, stop)
+        assert_reach_matches_scalar(n, np.arange(start, stop))
+
+    @pytest.mark.parametrize(
+        "n, start",
+        [
+            (6, 0),  # the whole enumeration is one block
+            (8, 3 * _BLOCK),
+            (8, dag_count(8) - _BLOCK),  # every pair an edge at the end
+            (9, dag_count(9) - 5 * _BLOCK),  # uint16 rows from 36-bit indices
+        ],
+    )
+    def test_gated_columns(self, n, start):
+        # The theorem scan decodes only the gated masks of a block, block
+        # start plus an increasing, unevenly spaced array of offsets.
+        hits = np.flatnonzero(np.arange(min(_BLOCK, dag_count(n))) % 1009 < 3)
+        index = start + hits
+        assert index.dtype == np.int64 and not np.array_equal(index, np.arange(index[0], index[-1] + 1))
+        assert_reach_matches_scalar(n, index)
+        assert np.array_equal(_pred_rows(n, index), _pred_rows(n, np.arange(start, start + hits[-1] + 1))[:, hits])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closure_rows_fed_back(self, n):
+        # rt is the closure's predecessor rows: the kernel run on them
+        # gives the closure's reach rows and verdicts.
+        v = _reach_verdicts(_pred_rows(n, np.arange(dag_count(n))))
+        c = _reach_verdicts(v.rt)
+        for mask in range(dag_count(n)):
+            closed = transitive_closure(dag_from_index(n, mask))
+            assert [int(row) for row in v.rt[:, mask]] == list(closed.pred_masks), (n, mask)
+            assert [int(row) for row in c.rf[:, mask]] == list(closed.succ_masks), (n, mask)
+            assert [int(row) for row in c.rt[:, mask]] == list(closed.pred_masks), (n, mask)
+            got = (c.transitive[mask], c.reduced[mask], c.strongly[mask], c.extremely[mask])
+            want = (True, is_reduced(closed), is_strongly_reduced(closed), is_extremely_reduced(closed))
+            assert got == want, (n, mask)
 
     @pytest.mark.parametrize("block", [_BLOCK, 1000])
     def test_blocks_straddle(self, monkeypatch, block):
@@ -88,8 +120,8 @@ class TestReachKernel:
         start, stop = block - 37, 2 * block + 91
         runs = list(_blocks(start, stop))
         assert runs == [(start, start + block), (start + block, stop)]
-        whole = _reach_verdicts(*_edge_rows(7, start, stop))
-        parts = [_reach_verdicts(*_edge_rows(7, a, b)) for a, b in runs]
+        whole = _reach_verdicts(_pred_rows(7, np.arange(start, stop)))
+        parts = [_reach_verdicts(_pred_rows(7, np.arange(a, b))) for a, b in runs]
         for field, want in zip(whole._fields, whole):
             assert np.array_equal(np.concatenate([getattr(p, field) for p in parts], axis=-1), want), field
 
@@ -100,7 +132,7 @@ class TestReachKernel:
 
 def assert_level_rows_match_scalar(n: int, start: int, stop: int) -> None:
     """The kernel's per-vertex level rows and edge counts equal ``graph.levels`` and the edge list, mask by mask."""
-    rows = _rows("levels", n, start, stop)
+    rows = _rows(n, start, stop)
     assert rows.shape == (n + 1, stop - start)
     edges, lev = rows[0], rows[1:]
     for j, mask in enumerate(range(start, stop)):
@@ -131,23 +163,21 @@ class TestSinkLevels:
         "n, start, stop",
         [
             (7, SLAB[7] - 1500, SLAB[7] + 2500),
-            (7, SLAB[7] - 1500, 3 * SLAB[7] + 2500),  # three slab-sized pieces in one call
+            (7, SLAB[7] - 1500, 3 * SLAB[7] + 2500),  # three slabs in one call
             (8, SLAB[8] - 1700, SLAB[8] + 2300),
             (8, 2 * SLAB[7] - 900, 2 * SLAB[7] + 1100),
         ],
     )
     def test_blocks_cross_slabs(self, monkeypatch, block, n, start, stop):
         # The runs of _BLOCK masks a sweep cuts a range into start and end
-        # inside slabs; together they give what one call over the range gives,
-        # and so do the slab-sized pieces _levels_chunk builds above the table
-        # ceiling, which start where the range starts, not on a slab.
+        # inside slabs; together they give what one call over the range gives.
         monkeypatch.setattr(kernels, "_BLOCK", block)
         whole = _levels_chunk(n, start, stop)
         parts = [_levels_chunk(n, a, b) for a, b in _blocks(start, stop)]
         assert len(parts) == -(-(stop - start) // block)
         for got, want in zip(zip(*parts), whole):
             assert np.array_equal(np.concatenate(got), want)
-        rows = _rows("levels", n, start, stop)
+        rows = _rows(n, start, stop)
         assert np.array_equal(whole[0], rows[1:].max(axis=0)) and np.array_equal(whole[1], rows[0])
         for j in range(0, stop - start, 97):
             g = dag_from_index(n, start + j)
@@ -156,40 +186,29 @@ class TestSinkLevels:
 
 class TestTables:
     def test_ceiling_from_one_byte_cap(self):
-        # A kind keeps a table for each n whose rows of every index fit in
-        # _TABLE_BYTES: n + 1 int8 rows per index for levels, 2n uint8 rows
-        # for edges.
-        ceiling = {kind: max(n for n in range(1, 10) if _table_fits(kind, n)) for kind in ("levels", "edges")}
-        assert ceiling == {"levels": 6, "edges": 5}
-        assert [n for n in range(1, 10) if _table_fits("levels", n)] == list(range(1, 7))
-        assert _table("levels", 6).nbytes == 229_376 <= _TABLE_BYTES
-        assert _table("edges", 5).nbytes == 10_240
+        # A table is kept for each n whose n + 1 int8 level rows of every
+        # index fit in _TABLE_BYTES.
+        assert [n for n in range(1, 10) if _table_fits(n)] == list(range(1, 7))
+        assert _table(6).nbytes == 229_376 <= _TABLE_BYTES
 
-    @pytest.mark.parametrize("kind, ceiling", [("levels", 6), ("edges", 5)])
-    def test_rows_below_the_ceiling_are_read_only(self, kind, ceiling):
-        # Up to its ceiling a kind returns views of its cached table: a
+    def test_rows_below_the_ceiling_are_read_only(self):
+        # Up to the ceiling the level rows are views of the cached table: a
         # write raises, so no caller can corrupt the table.
-        for n in range(1, ceiling + 1):
-            rows = _rows(kind, n, 0, dag_count(n))
-            assert rows.base is _table(kind, n)
+        for n in range(1, 7):
+            rows = _rows(n, 0, dag_count(n))
+            assert rows.base is _table(n)
             with pytest.raises(ValueError, match="read-only"):
                 rows[..., -1] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            _edge_rows(5, 3, 40)[1][0] = 1
-        assert _rows(kind, ceiling + 1, 0, 10).flags.writeable
+        assert _rows(7, 0, 10).flags.writeable
 
     def test_no_pair_table(self, monkeypatch):
-        # The kernels build rows from the sink recurrence alone, so the
-        # scalar checks above compare two independent decoders: a corrupt
-        # pair table breaks dag_from_index but not the kernel rows.
-        want = _edge_rows(7, SLAB[7] - 300, SLAB[7] + 300)
+        # The predecessor rows are bit fields of the index, so the scalar
+        # checks above compare two independent decoders: a corrupt pair
+        # table breaks dag_from_index but not the kernel rows.
+        index = np.arange(SLAB[7] - 300, SLAB[7] + 300)
+        want = _pred_rows(7, index)
         monkeypatch.setattr(generators, "pair_table", lambda n: ((0, 1), (1, 2), (2, 0)))
         with pytest.raises(CycleError):
             dag_from_index(3, 7)
         assert not hasattr(kernels, "pair_table")
-        _table.cache_clear()
-        try:
-            got = _edge_rows(7, SLAB[7] - 300, SLAB[7] + 300)
-        finally:
-            _table.cache_clear()
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(_pred_rows(7, index), want)
