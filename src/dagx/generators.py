@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import comb
 from typing import Iterator
 
@@ -44,13 +44,17 @@ def dag_count(n: int) -> int:
 
 
 def dag_from_index(n: int, index: int) -> Dag:
-    """The enumerated graph whose edge set is the bit pattern of ``index``.
+    """The enumerated graph on n vertices whose edge set is the bit pattern of ``index``.
 
-    The only index-to-graph builder; the graph goes through the validating :class:`Dag` constructor.
+    The only index-to-graph builder; the graph goes through the validating
+    :class:`Dag` constructor. The tables nest, so the pairs come from the
+    smallest table that covers the index's bits: neither the range check
+    nor the table read grows with n.
     """
-    if not 0 <= index < dag_count(n):
-        raise InvalidParamsError(f"index {index} outside 0..{dag_count(n) - 1}")
-    pairs = pair_table(n)
+    width = index.bit_length()
+    if index < 0 or width > comb(max(n, 0), 2):  # n < 1 fails in the Dag constructor
+        raise InvalidParamsError(f"index {index} outside 0..2^C({n}, 2) - 1")
+    pairs = pair_table(next(m for m in count(1) if comb(m, 2) >= width))
     return Dag(n, [pairs[i] for i in bits(index)])
 
 

@@ -165,7 +165,9 @@ def all_topological_orders(g: Dag, cap: int = DEFAULT_ORDER_CAP) -> list[TopoOrd
 
     Each step places, smallest first, an unplaced vertex whose predecessors
     are all placed. Raises :class:`~dagx.errors.CapExceededError` once more
-    than ``cap`` orders exist; the partial result is never returned.
+    than ``cap`` orders exist; the partial result is never returned. The
+    package never calls it: it is vocabulary, the tests' oracle for the
+    literal class definitions, and a function the benchmark traces.
     """
     pred = g.pred_masks
     full = (1 << g.n) - 1

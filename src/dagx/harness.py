@@ -10,9 +10,9 @@ read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, tested against the scalar predicates for n <= 6.
 Its input rows are bit fields of the enumeration index. The
 edge-bound scans (turan and theorem) read longest paths and edge counts
-off the level rows, start each n's running per-ell maxima from those of
-n - 1 (which every n attains, see :func:`_edge_bound_maxima`), and decode
-for the reach kernel only the masks above the maximum so far or the bound.
+off the level rows, start each running per-ell maximum one below the
+bound, and decode for the reach kernel only the masks that can attain or
+break it; a report gives no maximum where no member attains the bound.
 The box claim takes every geometric decision
 from :mod:`dagx.boxes` and works on its integer rows throughout: the
 random trials decide a block of families on the nesting and meeting
@@ -78,7 +78,7 @@ from .predicates import (
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
 )
-from .kernels import _blocks, _levels_chunk, _pred_rows, _reach_verdicts
+from .kernels import _bit, _blocks, _levels_chunk, _pred_rows, _reach_verdicts
 
 DEFAULT_SEED = 271828
 
@@ -282,11 +282,14 @@ _CLASS_PREDICATES = {
 }
 
 
-def _scan_edge_bound(n: int, klass: str | None, floor: tuple[int, ...], start: int, stop: int) -> dict:
+def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
     """Per-ell edge maxima of the members of ``klass`` (every DAG when None) and the graphs above the bound.
 
-    ``floor[ell]`` is a maximum the members at n are known to attain
-    (-1 when none is known): the running maximum starts there.
+    The running maximum starts at ``bound - 1``, so per ell the gate
+    passes the masks at or above the bound up to the block where a member
+    reaches it and the masks above it after that, every member that first
+    attains or breaks the bound; only those go to the reach kernel. A
+    maximum left at ``bound - 1`` means that no member reaches the bound.
     """
     if klass is None:
         bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
@@ -294,14 +297,10 @@ def _scan_edge_bound(n: int, klass: str | None, floor: tuple[int, ...], start: i
     else:
         bound = np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
         detail = lambda e, lv: f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}"
-    max_edges = np.array(floor, dtype=np.int8)
+    max_edges = bound - 1
     sample = _Sample()
     for a, b in _blocks(start, stop):
         ell, edges = _levels_chunk(n, a, b)
-        # Only a graph above the maximum so far or above the bound can
-        # change the outcome; the maximum at the block start gates a
-        # superset of those, and the reach kernel decides class
-        # membership for the gated masks only.
         hits = np.flatnonzero(edges > np.minimum(max_edges, bound).take(ell))
         if klass is not None and hits.size:
             hits = hits[getattr(_reach_verdicts(_pred_rows(n, a + hits)), klass)]
@@ -311,38 +310,21 @@ def _scan_edge_bound(n: int, klass: str | None, floor: tuple[int, ...], start: i
     return {"max_edges": max_edges.tolist(), "sample": sample}
 
 
-def _edge_bound_maxima(sweep: _Sweep, max_n: int, klass: str | None) -> Iterator[tuple[int, list[int]]]:
-    """(n, per-ell maxima) of :func:`_scan_edge_bound` for n = 1..max_n, each n's scan started from n - 1's maxima.
-
-    The first ``dag_count(n - 1)`` indices at n are exactly the graphs on
-    n - 1 vertices with vertex n - 1 added as an isolated sink. That sink
-    lies on no path and adds no edge, so the graph keeps its longest path
-    and edge count; its reachability among the other vertices is
-    unchanged and it is no one's ancestor or descendant, so it keeps its
-    class membership. Every maximum at n - 1 (one per ell <= n - 2) is
-    therefore attained at n, and starting from it loses no maximum. The
-    gate still passes every mask above the bound, so no violation is
-    missed either: maxima and violations are those of a scan from -1.
-    """
-    floor = [-1]
-    for n in range(1, max_n + 1):
-        parts = sweep.run(_scan_edge_bound, dag_count(n), n, klass, tuple(floor))
-        max_edges = [max(column) for column in zip(*(part["max_edges"] for part in parts))]
-        yield n, max_edges
-        floor = max_edges + [-1]
-
-
 def verify_turan_bound(max_n: int = 7, *, workers: int = 1) -> VerificationReport:
     """Every enumerated DAG satisfies edges <= t(n, ell + 1), with equality attained."""
     _require_range("turan", max_n, MAX_ENUM_VERTICES)
-    observed: dict[str, int] = {}
+    observed: dict[str, int | None] = {}
     with _Sweep(workers) as sweep:
-        for n, max_edges in _edge_bound_maxima(sweep, max_n, None):
+        for n, parts in sweep.over_n(_scan_edge_bound, max_n, None):
             for lv in range(n):
                 bound = turan_graph_edges(n, lv + 1)
-                observed[f"{n},{lv}"] = max_edges[lv]
-                if max_edges[lv] != bound:
-                    detail = f"max over n={n}, ell={lv} is {max_edges[lv]}, expected t({n},{lv + 1}) = {bound}"
+                top = max(part["max_edges"][lv] for part in parts)
+                observed[f"{n},{lv}"] = top if top >= bound else None
+                if top > bound:
+                    detail = f"max over n={n}, ell={lv} is {top}, expected t({n},{lv + 1}) = {bound}"
+                    sweep.sample.note(_graph_entry(None, detail))
+                elif top < bound:
+                    detail = f"no DAG attains the bound t({n},{lv + 1}) = {bound} at n={n}, ell={lv}"
                     sweep.sample.note(_graph_entry(None, detail))
                 g = turan_dag(n, lv + 1)
                 if len(g.edges) != bound or longest_path_length(g) != lv:
@@ -368,16 +350,17 @@ def verify_theorem_bound(max_n: int = 6, klass: str = "extremely", *, workers: i
     tightness: list[dict] = []
     predicate = _CLASS_PREDICATES[klass]
     with _Sweep(workers) as sweep:
-        for n, max_edges in _edge_bound_maxima(sweep, max_n, klass):
+        for n, parts in sweep.over_n(_scan_edge_bound, max_n, klass):
             for lv in range(1, n):
                 bound = reduced_dag_edge_bound(n, lv)
+                top = max(part["max_edges"][lv] for part in parts)
                 instance = extremal_for(n, lv)
                 inst_edges = len(instance.edges)
                 row = {
                     "n": n,
                     "ell": lv,
                     "bound": bound,
-                    "class_max": max_edges[lv],
+                    "class_max": top if top >= bound else None,
                     "generator_edges": inst_edges,
                 }
                 if lv >= 2:
@@ -385,8 +368,11 @@ def verify_theorem_bound(max_n: int = 6, klass: str = "extremely", *, workers: i
                     row["alt_split_vertices"] = alt.vertex_count
                     row["alt_split_edges"] = alt.edge_count
                 tightness.append(row)
-                if max_edges[lv] != bound:
-                    detail = f"class max at n={n}, ell={lv} is {max_edges[lv]}, bound is {bound}"
+                if top > bound:
+                    detail = f"class max at n={n}, ell={lv} is {top}, bound is {bound}"
+                    sweep.sample.note(_graph_entry(None, detail))
+                elif top < bound:
+                    detail = f"no class member attains the bound {bound} at n={n}, ell={lv}"
                     sweep.sample.note(_graph_entry(None, detail))
                 if inst_edges != bound or longest_path_length(instance) != lv or not predicate(instance):
                     detail = f"generated instance at n={n}, ell={lv} should attain {bound} edges inside the class"
@@ -513,25 +499,32 @@ _CLOSURE_FAULTS = (
     "closure dropped an edge",
     "closure is not idempotent",
     "closure of a reduced DAG fails a reducedness predicate",
+    "closure differs from the pivot-order closure",
 )
 
 
 def _scan_closure(n: int, start: int, stop: int) -> dict:
-    # The closure's predecessor rows are the input's rt rows; the
-    # closure's own verdicts and reach rows come from running the kernel
-    # on those.
+    # The closure's predecessor rows are the input's rt rows, checked
+    # against Warshall's closure: for pivots k ascending, each v that k
+    # reaches gains the vertices that reach k. The closure's own verdicts
+    # and reach rows come from running the kernel on those rows.
     sample = _Sample()
     reduced_count = 0
     for a, b in _blocks(start, stop):
         pred = _pred_rows(n, np.arange(a, b))
         g = _reach_verdicts(pred)
         c = _reach_verdicts(g.rt)
+        warshall = pred.copy()
+        for k in range(n):
+            for v in range(k + 1, n):
+                warshall[v] |= warshall[k] * _bit(warshall[v], k)
         faults = np.stack(
             [
                 ~c.transitive,
                 (pred & ~g.rt).any(axis=0),
                 (c.rt != g.rt).any(axis=0),
                 g.reduced & ~(c.reduced & c.strongly & c.extremely),
+                (g.rt != warshall).any(axis=0),
             ]
         )
         reduced_count += int(np.count_nonzero(g.reduced))

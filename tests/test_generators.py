@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from math import comb
 
@@ -288,6 +289,29 @@ class TestPairTable:
             assert g.pred_masks[n - 1] == index >> low, index
             prefix = Dag(n - 1, [(u, v) for u, v in g.edges if v < n - 1])
             assert prefix == dag_from_index(n - 1, index % (1 << low)), index
+
+
+class TestIndexAtAnyN:
+    """dag_from_index reads only the pairs its index covers: neither the table nor the range check grows with n."""
+
+    @pytest.mark.parametrize("n", [5000, 10**6])
+    def test_small_index_at_large_n(self, monkeypatch, n):
+        asked = []
+        real = generators.pair_table
+        monkeypatch.setattr(generators, "pair_table", lambda m: asked.append(m) or real(m))
+        start = time.perf_counter()
+        g = dag_from_index(n, 0b101)  # pairs 0 and 2 in colex order
+        assert time.perf_counter() - start < 1
+        assert (g.n, g.edges) == (n, {(0, 1), (1, 2)})
+        assert asked == [3]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_range_is_the_bit_length(self, n):
+        top = dag_count(n) - 1
+        assert len(dag_from_index(n, top).edges) == comb(n, 2)
+        for index in (top + 1, -1):
+            with pytest.raises(InvalidParamsError):
+                dag_from_index(n, index)
 
 
 class TestCorruptPairTable:

@@ -29,7 +29,7 @@ from dagx import (
     verify_theorem_bound,
     verify_turan_bound,
 )
-from dagx.bounds import turan_graph_edges
+from dagx.bounds import reduced_dag_edge_bound, turan_graph_edges
 from dagx.boxes import _GRID, boxes_intersect, extremal_box_family, format_box_csv, random_box_family
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import format_edge_list, longest_path_length
@@ -272,52 +272,92 @@ class TestTheoremAgainstDefinition:
             assert counted_violations(report, "edges with longest path") == expected
 
 
-class TestSeededEdgeBound:
-    """Each n's edge-bound scan starts from the n - 1 maxima; the reports equal those of scans from -1.
+class TestEdgeBoundGate:
+    """Each edge-bound scan starts its running maxima one below the bound.
 
-    The unseeded run wraps ``_scan_edge_bound`` to drop its floor. With
-    every bound lowered to 0 each graph with an edge violates, so the
-    listed violations show the listing order.
+    Its gate then passes only the masks that can attain or break the
+    bound. Every test runs turan or a class at n <= 6, at one worker and at
+    three (shards that start inside a block, run in process so that they
+    see the patched block size), with the real block size and with
+    1000-mask blocks.
     """
 
     @staticmethod
-    def claim(klass):
-        return (lambda **kw: verify_turan_bound(6, **kw)) if klass is None else (lambda **kw: verify_theorem_bound(6, klass, **kw))
+    def claim(klass, monkeypatch, block, workers):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        if klass is None:
+            return verify_turan_bound(6, workers=workers)
+        return verify_theorem_bound(6, klass, workers=workers)
 
-    @staticmethod
-    def unseeded(monkeypatch):
-        real = harness._scan_edge_bound
-        monkeypatch.setattr(harness, "_scan_edge_bound", lambda n, klass, floor, a, b: real(n, klass, (-1,) * n, a, b))
-
+    @pytest.mark.parametrize("block", [_BLOCK, 1000])
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("klass", [None, *THEOREM_CLASSES])
-    @pytest.mark.parametrize("bound", ["real", "zero"])
-    def test_reports_equal_unseeded(self, monkeypatch, pool_sizes, klass, workers, bound):
-        if bound == "zero":
-            monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: 0)
-            monkeypatch.setattr(harness, "reduced_dag_edge_bound", lambda n, ell: 0)
-        seeded = stripped(self.claim(klass)(workers=workers))
-        self.unseeded(monkeypatch)
-        assert stripped(self.claim(klass)(workers=workers)) == seeded
-        assert (len(seeded["violations"]) > 1) == (bound == "zero")
+    def test_bound_zero_lists_in_index_order(self, monkeypatch, pool_sizes, class_members, klass, workers, block):
+        # With every bound at 0 each member with an edge violates: the
+        # listed ones are the first 20 in index order, the rest counted.
+        monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: 0)
+        monkeypatch.setattr(harness, "reduced_dag_edge_bound", lambda n, ell: 0)
+        want = []
+        for n in range(1, 7):
+            for mask in range(dag_count(n)):
+                g = dag_from_index(n, mask)
+                e, lv = len(g.edges), longest_path_length(g)
+                if e and len(want) < 20 and (klass is None or THEOREM_CLASSES[klass](g)):
+                    if klass is None:
+                        text = f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = 0"
+                    else:
+                        text = f"class {klass!r}: {e} edges at ell={lv}, above bound 0"
+                    want.append((format_edge_list(g), text))
+        total = sum(edges > 0 for _, _, edges in class_members["all" if klass is None else klass])
+        report = self.claim(klass, monkeypatch, block, workers)
+        listed = [(v["graph"], v["detail"]) for v in report.violations if v["graph"] and "above" in v["detail"]]
+        assert listed == want
+        assert overflow_detail(report) == f"{total - 20} further violations not listed"
 
+    @pytest.mark.parametrize("block", [_BLOCK, 1000])
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
-    def test_seed_gates_fewer_masks(self, monkeypatch, klass):
-        # At n = 6 the seeded gate sends a fraction of the masks to the reach kernel.
+    def test_kernel_sees_only_masks_at_the_bound(self, monkeypatch, pool_sizes, klass, workers, block):
         sent = []
         real = harness._reach_verdicts
 
         def kernel(pred):
             if pred.shape[0] == 6:
-                sent.append(pred.shape[1])
+                sent.extend(zip(*pred.tolist()))
             return real(pred)
 
         monkeypatch.setattr(harness, "_reach_verdicts", kernel)
-        verify_theorem_bound(6, klass)
-        seeded, sent[:] = sum(sent), []
-        self.unseeded(monkeypatch)
-        verify_theorem_bound(6, klass)
-        assert seeded < sum(sent) // 2
+        assert self.claim(klass, monkeypatch, block, workers).ok
+        assert sent
+        for rows in sent:
+            g = Dag(6, [(u, v) for v, row in enumerate(rows) for u in range(v) if row >> u & 1])
+            ell = longest_path_length(g)
+            assert len(g.edges) >= (reduced_dag_edge_bound(6, ell) if ell else 0), format_edge_list(g)
+
+    @pytest.mark.parametrize("block", [_BLOCK, 1000])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("klass", [None, *THEOREM_CLASSES])
+    def test_bound_raised_is_not_attained(self, monkeypatch, pool_sizes, klass, workers, block):
+        real_turan, real_reduced = harness.turan_graph_edges, harness.reduced_dag_edge_bound
+        monkeypatch.setattr(harness, "turan_graph_edges", lambda n, k: real_turan(n, k) + 1)
+        monkeypatch.setattr(harness, "reduced_dag_edge_bound", lambda n, ell: real_reduced(n, ell) + 1)
+        report = self.claim(klass, monkeypatch, block, workers)
+        if klass is None:
+            rows = [(*map(int, key.split(",")), top) for key, top in report.params["observed_max"].items()]
+            bounds = {(n, lv): real_turan(n, lv + 1) + 1 for n, lv, _ in rows}
+        else:
+            rows = [(row["n"], row["ell"], row["class_max"]) for row in report.params["tightness"]]
+            bounds = {(n, lv): real_reduced(n, lv) + 1 for n, lv, _ in rows}
+        assert len(rows) == sum(range(1, 7)) - (0 if klass is None else 6)
+        assert all(top is None for _, _, top in rows)
+        notes = [v["detail"] for v in report.violations if "attains the bound" in v["detail"]]
+        assert notes == [
+            f"no DAG attains the bound t({n},{lv + 1}) = {bounds[n, lv]} at n={n}, ell={lv}"
+            if klass is None
+            else f"no class member attains the bound {bounds[n, lv]} at n={n}, ell={lv}"
+            for n, lv, _ in rows
+        ]
+        assert not any("above" in v["detail"] for v in report.violations)
 
 
 class TestImplicationsClaim:
@@ -342,6 +382,27 @@ class TestEquivalenceAndClosure:
         report = verify_closure(5)
         assert report.ok
         assert report.params["reduced_inputs"] == 965
+
+    def test_closure_checked_against_pivot_order(self, monkeypatch):
+        # The first 2-vertex call's rt gains a pair nothing reaches: at
+        # index 0, rt[1] = {0}. The kernel's own closure of that rt agrees
+        # with it and keeps every edge, so only the pivot-order closure,
+        # built from the predecessor rows, tells.
+        real = harness._reach_verdicts
+        calls = []
+
+        def kernel(pred):
+            v = real(pred)
+            if pred.shape[0] == 2 and not calls:
+                calls.append(pred.shape)
+                rt = v.rt.copy()
+                rt[1, 0] = 1
+                v = v._replace(rt=rt)
+            return v
+
+        monkeypatch.setattr(harness, "_reach_verdicts", kernel)
+        report = verify_closure(2)
+        assert report.violations == [{"graph": "n 2\n", "detail": "closure differs from the pivot-order closure"}]
 
 
 class TestSeparations:
