@@ -13,7 +13,7 @@ inside R''s while R''s vertical interval nests strictly inside R's;
 a strict partial order and the graph acyclic (horizontal width grows
 along every edge).
 
-Every box decision is made in this module. The rule is written in three
+Every box decision is made in this module. The rule is written in two
 forms, each with its own job:
 
 * the pair predicates (:func:`intervals_strictly_nested`,
@@ -25,17 +25,16 @@ forms, each with its own job:
   :func:`is_transverse_family`) scale every coordinate of a family to an
   integer over the family's common denominator, which orders the
   coordinates exactly as their rationals do, and read one walk that the
-  family caches, so asking both questions of a family walks it once;
-* :func:`_box_graphs` decides a block of families at once with numpy,
-  as (family, box, box) matrices of nesting and meeting, and
-  :func:`_box_verdicts` reads transitivity and the joined pairs of their
-  graphs off two-step products of the nesting matrices.
+  family caches, so asking both questions of a family walks it once.
+
+:func:`_box_verdicts` reads transitivity and the joined pairs of a graph
+off the walk's edges.
 
 The random and extremal families are drawn as integer rows on one grid,
 numerators over ``_GRID``, and converted to Fractions once. The box claim
-of :mod:`dagx.harness` decides the rows directly, the random ones in
-blocks through :func:`_box_graphs` and :func:`_box_verdicts` and the
-extremal ones through the pair walk, and builds a family only to list it.
+of :mod:`dagx.harness` decides the rows directly through the pair walk,
+reusing the walk that validated each transverse draw, and builds a
+family only to list it.
 """
 
 from __future__ import annotations
@@ -46,12 +45,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DagxError, DegenerateIntervalError, InvalidParamsError, ParseError
-from .graph import Dag
+from .graph import Dag, _require_size
 from .generators import ExtremalSpec, _rng
 
 
@@ -131,7 +129,13 @@ class BoxFamily:
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """(edges, offenders) of :func:`_pair_walk` on the family's integer rows, walked once per family."""
+        """(edges, offenders) of :func:`_pair_walk` on the family's integer rows, walked once per family.
+
+        More than :data:`~dagx.graph.MAX_EDGES` pairs raises
+        :class:`~dagx.errors.LimitExceededError` before the walk, which
+        could collect that many edges.
+        """
+        _require_size(math.comb(len(self), 2), "box pairs")
         return _pair_walk(_integer_rows(self))
 
 
@@ -214,45 +218,13 @@ def _pair_walk(rows) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int]
     return tuple(edges), tuple(offenders)
 
 
-class BoxGraphs(NamedTuple):
-    """The directed intersection graphs of a block of box families, as (family, box, box) matrices.
+def _box_verdicts(k: int, edges) -> tuple[bool, list[tuple[int, int]]]:
+    """(transitive, joined) of the graph on boxes 0..k-1 with ``edges``, as :func:`_pair_walk` gives them.
 
-    Box v of family t is its box v in family order; the families are
-    padded to the size of the largest, and a padding box nests in
-    nothing and meets nothing.
-    """
-
-    nest: np.ndarray  # nest[t, a, b]: edge a -> b, box a nested in box b
-    meet: np.ndarray  # meet[t, a, b]: the closed boxes a and b intersect (a box meets itself)
-
-
-def _box_graphs(families: list[np.ndarray]) -> BoxGraphs:
-    """The nesting and meeting matrices of each family.
-
-    Family t is an integer array of rows (ix_lo, ix_hi, jy_lo, jy_hi),
-    on one grid per family as :func:`_integer_rows` gives them.
-    """
-    size, k = len(families), max(map(len, families))
-    coords = np.zeros((size, k, 4), dtype=np.int64)
-    real = np.zeros((size, k), dtype=bool)
-    for t, rows in enumerate(families):
-        coords[t, : len(rows)] = rows
-        real[t, : len(rows)] = True
-    xl, xh, yl, yh = np.moveaxis(coords, 2, 0)
-    # [:, :, None] is box a, [:, None, :] box b.
-    both = real[:, :, None] & real[:, None, :]
-    a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
-    nest = both & (xl[b] < xl[a]) & (xh[a] < xh[b]) & (yl[a] < yl[b]) & (yh[b] < yh[a])
-    meet = both & (xl[a] <= xh[b]) & (xl[b] <= xh[a]) & (yl[a] <= yh[b]) & (yl[b] <= yh[a])
-    return BoxGraphs(nest, meet)
-
-
-def _box_verdicts(nest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(transitive, joined) of each graph of a block of ``nest`` matrices, from two-step products.
-
-    ``transitive[t]``: every two-step path x -> z -> y of family t's
-    graph has the edge x -> y. ``joined[t, x, y]``: x != y have a common
-    in-neighbour and a common out-neighbour.
+    ``transitive``: every two-step path x -> z -> y has the edge x -> y,
+    that is, each edge u -> v has succ[v] inside succ[u]. ``joined``: the
+    pairs x < y, by x then y, with a common in-neighbour and a common
+    out-neighbour.
 
     On a transitive graph the in-neighbours of a vertex are exactly its
     ancestors and the out-neighbours its descendants, so ``joined`` is
@@ -260,12 +232,14 @@ def _box_verdicts(nest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     class rules; a graph that is not transitive is already a violation
     of every box claim that reads ``joined``. Every box graph is
     transitive, since strict nesting is transitive on each axis, and the
-    check keeps that proved fact tested. The products are boolean, so
-    they run in numpy's own loops and load no BLAS buffers.
+    check keeps that proved fact tested.
     """
-    nest_t = nest.transpose(0, 2, 1)
-    transitive = ~((nest @ nest) & ~nest).any(axis=(1, 2))
-    joined = (nest_t @ nest) & (nest @ nest_t) & ~np.eye(nest.shape[1], dtype=bool)
+    succ, pred = [0] * k, [0] * k
+    for u, v in edges:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    transitive = all(not succ[v] & ~succ[u] for u, v in edges)
+    joined = [(x, y) for x in range(k) for y in range(x + 1, k) if pred[x] & pred[y] and succ[x] & succ[y]]
     return transitive, joined
 
 
@@ -397,12 +371,12 @@ def random_box_family(count: int, seed) -> BoxFamily:
     return _family_from_rows(*_general_rows(count, _rng(seed)))
 
 
-def _transverse_rows(rng) -> tuple[tuple[str, ...], np.ndarray]:
-    """The family :func:`random_transverse_family` draws from ``rng``, as (ids, rows over _GRID).
+def _transverse_rows(rng) -> tuple[tuple[str, ...], np.ndarray, tuple[tuple[int, int], ...]]:
+    """The family :func:`random_transverse_family` draws from ``rng``, as (ids, rows over _GRID, edges).
 
     Each draw takes the three layer sizes, every jitter in one call and
     the keep mask in one ``rng.random(k)``, and is validated on its
-    integer rows by :func:`_pair_walk`.
+    integer rows by :func:`_pair_walk`, whose edges come back with it.
     """
     for _ in range(16):
         r = int(rng.integers(0, 5))
@@ -418,8 +392,9 @@ def _transverse_rows(rng) -> tuple[tuple[str, ...], np.ndarray]:
         keep = rng.random(len(ids)) < 0.8
         if keep.any():
             ids, rows = tuple(i for i, kept in zip(ids, keep) if kept), rows[keep]
-        if not _pair_walk(rows.tolist())[1]:
-            return ids, rows
+        edges, offenders = _pair_walk(rows.tolist())
+        if not offenders:
+            return ids, rows, edges
     raise DagxError("no transverse family obtained after 16 draws")
 
 
@@ -432,7 +407,8 @@ def random_transverse_family(seed) -> BoxFamily:
     validation occasionally fails, in which case the draw is rejected
     and retried, up to 16 draws.
     """
-    return _family_from_rows(*_transverse_rows(_rng(seed)))
+    ids, rows, _ = _transverse_rows(_rng(seed))
+    return _family_from_rows(ids, rows)
 
 
 CSV_HEADER = ("id", "ix_lo", "ix_hi", "jy_lo", "jy_hi")

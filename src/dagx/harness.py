@@ -14,12 +14,11 @@ off the level rows, start each running per-ell maximum one below the
 bound, and decode for the reach kernel only the masks that can attain or
 break it; a report gives no maximum where no member attains the bound.
 The box claim takes every geometric decision
-from :mod:`dagx.boxes` and works on its integer rows throughout: the
-random trials decide a block of families on the nesting and meeting
-matrices of :func:`dagx.boxes._box_graphs` and the verdicts
-:func:`dagx.boxes._box_verdicts` reads off them, each extremal spec goes
-through the pair walk, and a family is built as Fractions only when a
-report lists it.
+from :mod:`dagx.boxes` and works on its integer rows throughout: every
+family, random or extremal, goes through one pair walk, a random one's
+verdicts come from :func:`dagx.boxes._box_verdicts` on the walk's edges
+(a transverse draw's are those of the walk that validated it), and a
+family is built as Fractions only when a report lists it.
 
 Scans partition the enumeration index range across a worker pool; shards
 share nothing and merge associatively, so reports are identical for any
@@ -43,8 +42,6 @@ import numpy as np
 
 from .bounds import reduced_dag_edge_bound, turan_graph_edges
 from .boxes import (
-    BoxGraphs,
-    _box_graphs,
     _box_verdicts,
     _family_from_rows,
     _general_rows,
@@ -61,6 +58,7 @@ from .generators import (
     dag_from_index,
     extremal_dag,
     extremal_for,
+    pair_table,
     random_dag,
     turan_dag,
 )
@@ -626,19 +624,9 @@ def find_separations(max_n: int = 6, *, workers: int = 1) -> VerificationReport:
 # graph can carry without a clique of size k + 1.
 
 
-def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    """Bit i for pair i of ``combinations(range(n), 2)``: the search's own numbering, not the enumeration index's."""
-    return {pair: 1 << i for i, pair in enumerate(combinations(range(n), 2))}
-
-
-def _clique_edge_masks(n: int, size: int, bit: dict[tuple[int, int], int]) -> list[int]:
-    masks = []
-    for sub in combinations(range(n), size):
-        m = 0
-        for pair in combinations(sub, 2):
-            m |= bit[pair]
-        masks.append(m)
-    return masks
+def _clique_edge_masks(n: int, size: int) -> list[int]:
+    """The edge mask of each ``size``-clique of K_n, pair (u, v) at bit C(v, 2) + u as in the enumeration index."""
+    return [sum(1 << comb(v, 2) + u for u, v in combinations(sub, 2)) for sub in combinations(range(n), size)]
 
 
 def _cover_within(n: int, size: int, budget: int) -> bool:
@@ -680,8 +668,8 @@ def _cover_within(n: int, size: int, budget: int) -> bool:
     node succeeds depends on nothing else, so a ``removed`` set that
     failed once fails again.
     """
-    # ends[i]: the vertex mask of pair i's two endpoints, in _pair_bits' numbering.
-    ends = [1 << u | 1 << v for u, v in combinations(range(n), 2)]
+    # ends[i]: the vertex mask of pair i's two endpoints.
+    ends = [1 << u | 1 << v for u, v in pair_table(n)]
     failed: set[int] = set()
 
     def search(removed: int, touched: int, open_: list[int], left: int) -> bool:
@@ -712,7 +700,7 @@ def _cover_within(n: int, size: int, budget: int) -> bool:
         failed.add(removed)
         return False
 
-    return search(0, 0, _clique_edge_masks(n, size, _pair_bits(n)), budget)
+    return search(0, 0, _clique_edge_masks(n, size), budget)
 
 
 def verify_clique_bound(max_n: int = 8) -> VerificationReport:
@@ -732,9 +720,8 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
     _require_range("clique", max_n, MAX_CLIQUE_VERTICES)
     with _Sweep(1) as sweep:
         for n in range(2, max_n + 1):
-            bit = _pair_bits(n)
             # cliques[s]: the edge masks of every s-clique of K_n (none for s = n + 1).
-            cliques = [_clique_edge_masks(n, size, bit) for size in range(n + 2)]
+            cliques = [_clique_edge_masks(n, size) for size in range(n + 2)]
             for k in range(1, n + 1):
                 t = turan_graph_edges(n, k)
                 sweep.checked += 1
@@ -743,7 +730,7 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
                     detail = f"a graph with {t + 1} edges and no {k + 1}-clique exists at n={n}"
                     sweep.sample.note(_graph_entry(None, detail))
                 g = turan_dag(n, k)
-                mask = sum(bit[pair] for pair in g.edges)
+                mask = sum(1 << comb(v, 2) + u for u, v in g.edges)
                 if len(g.edges) != t:
                     sweep.sample.note(_graph_entry(g, f"expected {t} edges at n={n}, k={k}"))
                 if not any(cm & ~mask == 0 for cm in cliques[k]):
@@ -759,22 +746,6 @@ def verify_clique_bound(max_n: int = 8) -> VerificationReport:
 # Box family properties.
 
 
-# Random families per block. On a 2-core x86 box, verify_box_props(1000)
-# took 0.11-0.14 s with 64, 256 or 1024 families per block, and raised the
-# peak RSS of a warmed-up process by 1.1, 1.6 and 2.5 MB.
-_BOX_BLOCK = 256
-
-
-def _box_trials(
-    seed: int, start: int, stop: int, draw: Callable
-) -> Iterator[tuple[int, list, BoxGraphs, tuple[np.ndarray, np.ndarray]]]:
-    """(a, drawn, graphs, (transitive, joined)) per block of trials from a on; ``draw(seed, t)`` gives trial t's (ids, rows)."""
-    for a in range(start, stop, _BOX_BLOCK):
-        drawn = [draw(seed, t) for t in range(a, min(a + _BOX_BLOCK, stop))]
-        graphs = _box_graphs([rows for _, rows in drawn])
-        yield a, drawn, graphs, _box_verdicts(graphs.nest)
-
-
 def _draw_transverse(seed: int, t: int) -> tuple:
     return _transverse_rows(np.random.default_rng((seed, 0, t)))
 
@@ -784,40 +755,47 @@ def _draw_general(seed: int, t: int) -> tuple:
     return _general_rows(int(rng.integers(2, 13)), rng)
 
 
+def _box_sample(kind: str, hits: list[tuple]) -> _Sample:
+    """One violation per detail of each (t, ids, rows, details) hit, the entries listed lazily."""
+    sample = _Sample()
+    entries = (_box_entry(ids, rows, f"{kind} trial {t}: {d}") for t, ids, rows, details in hits for d in details)
+    sample.extend(sum(len(details) for *_, details in hits), entries)
+    return sample
+
+
 def _scan_transverse_boxes(seed: int, start: int, stop: int) -> dict:
     # Extremely reduced: every joined pair is adjacent.
-    sample = _Sample()
-    for a, drawn, graphs, (transitive, joined) in _box_trials(seed, start, stop, _draw_transverse):
-        adjacent = graphs.nest | graphs.nest.transpose(0, 2, 1)
-        hits = np.flatnonzero(~transitive | (joined & ~adjacent).any(axis=(1, 2))).tolist()
-        detail = "transverse trial {}: graph not extremely reduced + transitive"
-        entries = (_box_entry(*drawn[j], detail.format(a + j)) for j in hits)
-        sample.extend(len(hits), entries)
-    return {"sample": sample}
+    hits = []
+    for t in range(start, stop):
+        ids, rows, edges = _draw_transverse(seed, t)
+        transitive, joined = _box_verdicts(len(ids), edges)
+        adjacent = set(edges)
+        if not transitive or any((x, y) not in adjacent and (y, x) not in adjacent for x, y in joined):
+            hits.append((t, ids, rows, ["graph not extremely reduced + transitive"]))
+    return {"sample": _box_sample("transverse", hits)}
 
 
 def _scan_general_boxes(seed: int, start: int, stop: int) -> dict:
     # Pair (x, y), x < y, of a family is joined when the boxes share an
-    # ancestor and a descendant; a joined pair must intersect.
-    sample = _Sample()
+    # ancestor and a descendant; a joined pair must intersect, that is, be
+    # an edge or an offender of the family's pair walk.
+    hits = []
     joined_pairs = 0
-    for a, drawn, graphs, (transitive, joined) in _box_trials(seed, start, stop, _draw_general):
-        joined = np.triu(joined)
-        apart = joined & ~graphs.meet
-        joined_pairs += int(np.count_nonzero(joined))
-
-        def entries(j: int) -> Iterator[dict]:
-            ids, rows = drawn[j]
-            if not transitive[j]:
-                yield _box_entry(ids, rows, f"general trial {a + j}: graph not transitive")
-            for i, k in zip(*np.nonzero(apart[j])):
-                detail = f"boxes {ids[i]},{ids[k]} share ancestor and descendant but do not intersect"
-                yield _box_entry(ids, rows, f"general trial {a + j}: {detail}")
-
-        counts = ~transitive + apart.sum(axis=(1, 2))
-        hits = np.flatnonzero(counts).tolist()
-        sample.extend(int(counts.sum()), (entry for j in hits for entry in entries(j)))
-    return {"sample": sample, "joined": joined_pairs}
+    for t in range(start, stop):
+        ids, rows = _draw_general(seed, t)
+        edges, offenders = _pair_walk(rows.tolist())
+        transitive, joined = _box_verdicts(len(ids), edges)
+        joined_pairs += len(joined)
+        meet = {*edges, *offenders}
+        details = [] if transitive else ["graph not transitive"]
+        details += [
+            f"boxes {ids[x]},{ids[y]} share ancestor and descendant but do not intersect"
+            for x, y in joined
+            if (x, y) not in meet and (y, x) not in meet
+        ]
+        if details:
+            hits.append((t, ids, rows, details))
+    return {"sample": _box_sample("general", hits), "joined": joined_pairs}
 
 
 def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: int = 1) -> VerificationReport:
@@ -825,15 +803,15 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     ancestor plus common descendant forces intersecting boxes; the extremal
     family reproduces the extremal graph exactly.
 
-    Both random trial kinds draw each family as integer rows and decide a
-    block of families at once on its nesting and meeting matrices, which
-    also checks that every graph is transitive. Each extremal
-    spec's rows go through one pair walk, whose edges must be those of
-    ``extremal_dag(spec)`` and which must find no offender. The general
-    families rarely contain a pair with both a common ancestor and a
-    common descendant, so the middle claim may be checked vacuously;
-    ``params["general_joined_pairs"]`` counts the pairs it was checked
-    on: 0 at seeds 0, 1, 5 and the default. ROADMAP item 4 replaces the
+    Both random trial kinds draw each family as integer rows and decide it
+    on the edges of one pair walk, a transverse family on the walk that
+    validated its draw; the verdicts also check that every graph is
+    transitive. Each extremal spec's rows go through one pair walk, whose
+    edges must be those of ``extremal_dag(spec)`` and which must find no
+    offender. The general families rarely contain a pair with both a
+    common ancestor and a common descendant, so the middle claim may be
+    checked vacuously; ``params["general_joined_pairs"]`` counts the
+    pairs it was checked on: 0 at seeds 0, 1, 5 and the default. ROADMAP item 4 replaces the
     general trials once a benchmark change re-pins the ``boxes`` count."""
     if trials < 0:
         raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")

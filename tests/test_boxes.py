@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from dagx import (
 )
 import dagx.harness as harness
 from dagx import boxes as boxes_module
-from dagx.boxes import _box_graphs, _box_verdicts, _integer_rows
+from dagx.boxes import _box_verdicts, _integer_rows, _pair_walk
 from dagx.cli import main
 from dagx.graph import reach_from_masks, reach_to_masks
 
@@ -484,9 +485,9 @@ class TestRowDrawers:
 
     def test_rows_are_the_public_families(self):
         for seed in range(200):
-            ids, rows = boxes_module._transverse_rows(np.random.default_rng(seed))
+            ids, rows, edges = boxes_module._transverse_rows(np.random.default_rng(seed))
             family = random_transverse_family(seed)
-            assert ids == family.ids
+            assert ids == family.ids and set(edges) == directed_intersection_graph(family).edges
             self.assert_rows_of(rows, boxes_module._GRID, family)
             count = 1 + seed % 12
             ids, rows = boxes_module._general_rows(count, np.random.default_rng(seed))
@@ -500,64 +501,55 @@ class TestRowDrawers:
             self.assert_rows_of(rows, boxes_module._GRID, family)
 
 
-def matrix_pairs(matrix: np.ndarray) -> set:
-    """The pairs (a, b) with ``matrix[a, b]`` set."""
-    return {(int(a), int(b)) for a, b in zip(*np.nonzero(matrix))}
-
-
 def reach_joined(g: Dag) -> set:
     """The pairs (x, y), x != y, with a common ancestor and a common descendant, from g's reach rows."""
     rf, rt = reach_from_masks(g), reach_to_masks(g)
     return {(x, y) for x in range(g.n) for y in range(g.n) if x != y and rt[x] & rt[y] and rf[x] & rf[y]}
 
 
+def both_ways(pairs) -> set:
+    """The pairs (x, y) and (y, x) of each listed pair."""
+    return {*pairs, *((y, x) for x, y in pairs)}
+
+
 class TestBoxKernel:
-    """The block matrices and verdicts of the box trials against the scalar route on Fractions.
-
-    Blocks of 300 trials give families of different padded sizes; a pair
-    with a padding box would be a pair the scalar route lacks.
-    """
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(harness, "_BOX_BLOCK", 300)
+    """The verdicts of the box trials, read off the pair walk's edges, against the Fraction route."""
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 271828])
     def test_transverse_trials(self, seed):
         flagged = 0
-        for a, drawn, graphs, (transitive, joined) in harness._box_trials(seed, 0, 1000, harness._draw_transverse):
-            for j, (ids, _) in enumerate(drawn):
-                family = random_transverse_family((seed, 0, a + j))
-                g = directed_intersection_graph(family)
-                assert family.ids == ids
-                assert matrix_pairs(graphs.nest[j]) == g.edges
-                assert matrix_pairs(joined[j]) == reach_joined(g)
-                assert bool(transitive[j]) == is_transitive(g)
-                adjacent = g.edges | {(v, u) for u, v in g.edges}
-                block = bool(transitive[j]) and matrix_pairs(joined[j]) <= adjacent
-                scalar = is_extremely_reduced(g) and is_transitive(g)
-                assert block == scalar
-                flagged += not scalar
+        for t in range(1000):
+            ids, _, edges = harness._draw_transverse(seed, t)
+            transitive, joined = _box_verdicts(len(ids), edges)
+            family = random_transverse_family((seed, 0, t))
+            g = directed_intersection_graph(family)
+            assert family.ids == ids and set(edges) == g.edges
+            assert both_ways(joined) == reach_joined(g) and joined == sorted(joined)
+            assert transitive == is_transitive(g)
+            walk = transitive and both_ways(joined) <= both_ways(g.edges)
+            fraction = is_extremely_reduced(g) and is_transitive(g)
+            assert walk == fraction
+            flagged += not fraction
         assert harness._scan_transverse_boxes(seed, 0, 1000)["sample"].count == flagged
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 271828])
     def test_general_trials(self, seed):
         joined_count = listed = 0
-        for a, drawn, graphs, (transitive, joined) in harness._box_trials(seed, 0, 1000, harness._draw_general):
-            for j, (ids, _) in enumerate(drawn):
-                rng = np.random.default_rng((seed, 1, a + j))
-                family = random_box_family(int(rng.integers(2, 13)), rng)
-                g = directed_intersection_graph(family)
-                boxes = family.boxes
-                assert family.ids == tuple(ids)
-                assert matrix_pairs(graphs.nest[j]) == g.edges
-                meet = {(x, y) for x in range(g.n) for y in range(g.n) if boxes_intersect(boxes[x], boxes[y])}
-                assert matrix_pairs(graphs.meet[j]) == meet
-                want = reach_joined(g)
-                assert matrix_pairs(joined[j]) == want
-                assert bool(transitive[j]) == is_transitive(g)
-                joined_count += len(want) // 2
-                listed += sum(x < y and (x, y) not in meet for x, y in want)
+        for t in range(1000):
+            ids, rows = harness._draw_general(seed, t)
+            edges, offenders = _pair_walk(rows.tolist())
+            transitive, joined = _box_verdicts(len(ids), edges)
+            rng = np.random.default_rng((seed, 1, t))
+            family = random_box_family(int(rng.integers(2, 13)), rng)
+            g = directed_intersection_graph(family)
+            boxes = family.boxes
+            assert family.ids == ids and set(edges) == g.edges
+            meet = {(x, y) for x, y in combinations(range(g.n), 2) if boxes_intersect(boxes[x], boxes[y])}
+            assert {(min(e), max(e)) for e in edges} | set(offenders) == meet
+            assert both_ways(joined) == reach_joined(g) and joined == sorted(joined)
+            assert transitive == is_transitive(g)
+            joined_count += len(joined)
+            listed += sum(pair not in meet for pair in joined)
         part = harness._scan_general_boxes(seed, 0, 1000)
         assert (part["joined"], part["sample"].count, part["sample"].entries) == (joined_count, listed, [])
 
@@ -565,34 +557,29 @@ class TestBoxKernel:
         # c -> a -> d and c -> b -> d, while a and b cross without nesting:
         # the pair (a, b) is joined and not adjacent, and the boxes intersect.
         c, a, b, d = (0, 1, -10, 10), (-2, 3, -5, 5), (-3, 2, -6, 4), (-10, 10, -1, 0)
-        rows = 2 * np.array([c, a, b, d])
-        transitive, joined = _box_verdicts(_box_graphs([rows]).nest)
-        assert matrix_pairs(joined[0]) == {(1, 2), (2, 1)} and transitive[0]
-        drawn = lambda seed, t: (("c", "a", "b", "d"), rows)
-        monkeypatch.setattr(harness, "_draw_general", drawn)
+        ids, rows = ("c", "a", "b", "d"), 2 * np.array([c, a, b, d])
+        edges, offenders = _pair_walk(rows.tolist())
+        assert _box_verdicts(4, edges) == (True, [(1, 2)]) and offenders == ((1, 2),)
+        monkeypatch.setattr(harness, "_draw_general", lambda seed, t: (ids, rows))
         part = harness._scan_general_boxes(0, 0, 3)
         assert (part["joined"], part["sample"].count, part["sample"].entries) == (3, 0, [])
         # The graph is not extremely reduced, which the transverse rule flags.
-        monkeypatch.setattr(harness, "_draw_transverse", drawn)
+        monkeypatch.setattr(harness, "_draw_transverse", lambda seed, t: (ids, rows, edges))
         assert harness._scan_transverse_boxes(0, 0, 3)["sample"].count == 3
 
     def test_twelve_boxes(self):
         spec = ExtremalSpec(4, 5, 4)
         family = extremal_box_family(spec)
-        graphs = _box_graphs([np.array(_integer_rows(family))])
-        transitive, joined = _box_verdicts(graphs.nest)
-        assert len(family) == 12 and transitive[0]
-        assert matrix_pairs(graphs.nest[0]) == extremal_dag(spec).edges
-        assert matrix_pairs(joined[0]) == reach_joined(directed_intersection_graph(family))
+        edges, offenders = _pair_walk(_integer_rows(family))
+        transitive, joined = _box_verdicts(len(family), edges)
+        assert len(family) == 12 and transitive and not offenders
+        assert set(edges) == extremal_dag(spec).edges
+        assert both_ways(joined) == reach_joined(directed_intersection_graph(family))
 
     def test_non_transitive_nest(self):
         # a -> b -> c without a -> c, and the same graph with a -> c.
-        nest = np.zeros((2, 3, 3), dtype=bool)
-        nest[:, 0, 1] = nest[:, 1, 2] = True
-        nest[1, 0, 2] = True
-        transitive, joined = _box_verdicts(nest)
-        assert transitive.tolist() == [False, True]
-        assert not joined.any()
+        assert _box_verdicts(3, [(0, 1), (1, 2)]) == (False, [])
+        assert _box_verdicts(3, [(0, 1), (1, 2), (0, 2)]) == (True, [])
 
 
 class TestBoxCsv:

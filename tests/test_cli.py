@@ -338,6 +338,15 @@ class TestEdgeLimit:
         # building any of the three graphs would take hundreds of MB or more.
         assert peak < 32 << 20
 
+    def test_box_pairs_refused_before_the_walk(self, capsys, tmp_path):
+        # C(2897, 2) = 4,194,856 pairs, one family above the limit. The boxes
+        # are disjoint, so the graph has no edge and only the pair count refuses it.
+        path = tmp_path / "boxes.csv"
+        path.write_text("id,ix_lo,ix_hi,jy_lo,jy_hi\n" + "".join(f"b{i},{2 * i},{2 * i + 1},0,1\n" for i in range(2897)))
+        code, out, err = run(capsys, "boxes-graph", str(path))
+        assert code == 2 and out == ""
+        assert "box pairs: 4194856 exceeds the limit MAX_EDGES = 4194304" in err and "internal error" not in err
+
 
 @contextmanager
 def address_space_cap(extra: int):

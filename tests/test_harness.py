@@ -34,7 +34,7 @@ from dagx.boxes import _GRID, boxes_intersect, extremal_box_family, format_box_c
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import format_edge_list, longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
-from dagx.harness import CHORDED_CHAIN_EDGES, _clique_edge_masks, _cover_within, _pair_bits
+from dagx.harness import CHORDED_CHAIN_EDGES, _clique_edge_masks, _cover_within
 from dagx.kernels import _BLOCK, _blocks, _levels_chunk
 
 from conftest import CHORDED_CHAIN
@@ -501,10 +501,10 @@ class TestCliqueBound:
         assert _cover_within(8, 3, 12)
 
     def test_pinned_clique_masks(self):
-        # The search numbers the pairs by combinations(range(n), 2), whatever the enumeration's pair order.
-        assert _clique_edge_masks(5, 2, _pair_bits(5)) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
-        assert _clique_edge_masks(5, 3, _pair_bits(5)) == [19, 37, 73, 134, 266, 524, 176, 336, 608, 896]
-        assert _clique_edge_masks(5, 4, _pair_bits(5)) == [183, 347, 621, 910, 1008]
+        # The search numbers pair (u, v) by C(v, 2) + u, the enumeration index's colex pair order.
+        assert _clique_edge_masks(5, 2) == [1, 2, 8, 64, 4, 16, 128, 32, 256, 512]
+        assert _clique_edge_masks(5, 3) == [7, 25, 193, 42, 322, 584, 52, 388, 656, 800]
+        assert _clique_edge_masks(5, 4) == [63, 455, 729, 874, 948]
 
     def test_search_matches_literal_oracle(self):
         # Every edge set of K_n, n <= 6, tried in turn: the densest one with
@@ -513,7 +513,7 @@ class TestCliqueBound:
         for n in range(2, 7):
             pairs = comb(n, 2)
             for k in range(1, n + 1):
-                cliques = _clique_edge_masks(n, k + 1, _pair_bits(n))
+                cliques = _clique_edge_masks(n, k + 1)
                 free = [s for s in range(1 << pairs) if not any(cm & ~s == 0 for cm in cliques)]
                 assert max(bin(s).count("1") for s in free) == turan_graph_edges(n, k), (n, k)
                 sizes = {bin(d).count("1") for d in range(1 << pairs) if all(cm & d for cm in cliques)}
@@ -551,7 +551,7 @@ class TestCliqueBound:
 
         for n in (7, 8):
             for k in range(1, n + 1):
-                cliques = _clique_edge_masks(n, k + 1, _pair_bits(n))
+                cliques = _clique_edge_masks(n, k + 1)
                 top = comb(n, 2) - turan_graph_edges(n, k)
                 for b in {max(top - 1, 0), top}:
                     assert _cover_within(n, k + 1, b) == plain_cover(cliques, b), (n, k, b)
@@ -602,7 +602,7 @@ class TestBoxClaim:
         assert verify_box_props(0, workers=2).checked == 5 * 4 * 6
 
     def test_without_the_reach_kernel(self, monkeypatch):
-        # The box trials decide on their own matrices; the reach kernel serves the enumeration only.
+        # The box trials decide on the pair walk's edges; the reach kernel serves the enumeration only.
         def unused(*args):
             raise AssertionError("the box claim called the reach kernel")
 
@@ -863,33 +863,21 @@ def verdict(field, change):
 def untransitive(real):
     """Wrap the box verdicts so that no graph is transitive."""
 
-    def verdicts(nest):
-        transitive, joined = real(nest)
-        return np.zeros_like(transitive), joined
+    def verdicts(k, edges):
+        return False, real(k, edges)[1]
 
     return verdicts
 
 
 def general_pairs_joined(monkeypatch):
-    """Join every two distinct boxes of each general trial's family; the transverse trials keep their verdicts.
+    """Join every two distinct boxes of each general trial's family; the transverse trials keep their verdicts."""
+    real_scan, real_verdicts = harness._scan_general_boxes, harness._box_verdicts
 
-    The fake box verdicts tell the boxes from the padding by the diagonal
-    of the block's ``meet``, since every box meets itself.
-    """
-    real_scan, real_graphs, real_verdicts = harness._scan_general_boxes, harness._box_graphs, harness._box_verdicts
-    blocks = []
-
-    def graphs(families):
-        blocks.append(real_graphs(families))
-        return blocks[-1]
-
-    def verdicts(nest):
-        box = blocks[-1].meet.diagonal(axis1=1, axis2=2)
-        return real_verdicts(nest)[0], box[:, :, None] & box[:, None, :] & ~np.eye(nest.shape[1], dtype=bool)
+    def verdicts(k, edges):
+        return real_verdicts(k, edges)[0], list(combinations(range(k), 2))
 
     def scan(*args):
         with monkeypatch.context() as m:
-            m.setattr(harness, "_box_graphs", graphs)
             m.setattr(harness, "_box_verdicts", verdicts)
             return real_scan(*args)
 
@@ -988,7 +976,6 @@ class TestViolationOverflow:
         # its disjoint pairs in family order, as the Fraction predicates see
         # them, and every one is counted.
         general_pairs_joined(monkeypatch)
-        monkeypatch.setattr(harness, "_BOX_BLOCK", 7)
         want, pairs = [], 0
         for t in range(30):
             rng = np.random.default_rng((5, 1, t))
