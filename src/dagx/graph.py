@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -67,9 +67,11 @@ class Dag:
     duplicate edges and acyclicity, whether the graph is parsed or
     generated; a :class:`~dagx.errors.CycleError` carries a witness
     cycle. The same pass records the topological order that
-    :func:`topological_order` returns. More than :data:`MAX_EDGES`
-    vertices raises :class:`~dagx.errors.LimitExceededError` before any
-    row is built. Equality is exact labeled equality of (n, edges).
+    :func:`topological_order` returns; on a forward-labeled graph that
+    is 0..n-1, kept as a ``range`` rather than n stored integers. More
+    than :data:`MAX_EDGES` vertices raises
+    :class:`~dagx.errors.LimitExceededError` before any row is built.
+    Equality is exact labeled equality of (n, edges).
     """
 
     __slots__ = ("n", "edges", "succ_masks", "pred_masks", "_order", "_cache")
@@ -97,15 +99,15 @@ class Dag:
             if u > v:
                 forward = False
         # Exact: on a forward-labeled graph, Kahn's smallest-source-first walk yields 0..n-1.
-        order = range(n) if forward else _kahn(n, succ, pred)
+        order = range(n) if forward else tuple(_kahn(n, succ, pred))
         if len(order) < n:
             raise CycleError(_witness_cycle(pred, (1 << n) - 1 - sum(1 << v for v in order)))
         self.n = n
         self.edges = frozenset(pairs)
         self.succ_masks = tuple(succ)
         self.pred_masks = tuple(pred)
-        self._order: TopoOrder = tuple(order)
-        self._cache: dict[str, object] = {}
+        self._order: Sequence[int] = order
+        self._cache: dict[object, object] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
@@ -157,7 +159,7 @@ def _witness_cycle(pred: list[int], remaining: int) -> list[int]:
 
 def topological_order(g: Dag) -> TopoOrder:
     """The order ``g`` was built with: repeatedly remove the smallest source."""
-    return g._order
+    return tuple(g._order)
 
 
 def all_topological_orders(g: Dag, cap: int = DEFAULT_ORDER_CAP) -> list[TopoOrder]:
@@ -192,7 +194,7 @@ def levels(g: Dag) -> tuple[int, ...]:
     lev = g._cache.get("levels")
     if lev is None:
         arr = [0] * g.n
-        for v in topological_order(g):
+        for v in g._order:
             best = -1
             for u in bits(g.pred_masks[v]):
                 if arr[u] > best:
@@ -240,7 +242,7 @@ def reach_from_masks(g: Dag) -> tuple[int, ...]:
     """Row v = bitmask of vertices reachable from v by a path of length >= 1."""
     rf = g._cache.get("reach_from")
     if rf is None:
-        rf = _fill_rows(g.n, reversed(topological_order(g)), g.succ_masks)
+        rf = _fill_rows(g.n, reversed(g._order), g.succ_masks)
         g._cache["reach_from"] = rf
     return rf
 
@@ -249,7 +251,7 @@ def reach_to_masks(g: Dag) -> tuple[int, ...]:
     """Row v = bitmask of vertices that reach v by a path of length >= 1."""
     rt = g._cache.get("reach_to")
     if rt is None:
-        rt = _fill_rows(g.n, topological_order(g), g.pred_masks)
+        rt = _fill_rows(g.n, g._order, g.pred_masks)
         g._cache["reach_to"] = rt
     return rt
 

@@ -20,8 +20,8 @@ shortcut that would make the union of their paths a path (see
 oracles quantify literally over paths and orders, and the two routes
 are cross-checked exhaustively in the test suite.
 
-Both oracles read their paths from one table per graph, built by
-:func:`path_vertex_masks` one target at a time. The strongly-reduced
+Both oracles read their paths from one table per graph and cap, built
+by :func:`path_vertex_masks` one target at a time. The strongly-reduced
 oracle does not list topological orders: it walks them as a prefix tree
 with one subtree per downset, checking every union of two joining paths
 as each vertex is placed (see :func:`_orders_keep_paths`).
@@ -56,53 +56,48 @@ def path_vertex_masks(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> li
     set in topological order), so this is a faithful path enumeration.
     Raises :class:`~dagx.errors.CapExceededError` beyond ``cap`` paths.
 
-    The lists come from one table per graph, kept on ``g`` and shared by
-    every caller and every ``cap``; see :func:`_fill_paths`.
+    The lists come from one table per graph and cap, kept on ``g`` and
+    shared by every caller; see :func:`_fill_paths`.
     """
     if not (0 <= v < g.n and 0 <= w < g.n):
         raise VertexRangeError(f"vertices ({v}, {w}) outside 0..{g.n - 1}")
-    table = g._cache.get("paths")
+    table = g._cache.get(("paths", cap))
     if table is None:
-        table = g._cache["paths"] = {}
+        table = g._cache[("paths", cap)] = {}
     column = table.get(w)
     if column is None:
-        column = table[w] = {w: [1 << w]}
-    got = column.get(v)
-    if got is None or type(got) is not list and got < cap:
-        got = _fill_paths(g, column, v, w, cap)
-    if type(got) is not list or len(got) > cap:
+        column = table[w] = _fill_paths(g, w, cap)
+    got = column.get(v, [])
+    if got is None or len(got) > cap:  # len: w's own entry at cap 0, any entry at a negative cap
         raise CapExceededError(f"more than {cap} paths from {v} to {w}")
     return list(got)
 
 
-def _fill_paths(g: Dag, column: dict, v: int, w: int, cap: int) -> list[int] | int:
-    """Fill ``column``, the paths to w by source, for every vertex that reaches w; return v's entry.
+def _fill_paths(g: Dag, w: int, cap: int) -> dict[int, list[int] | None]:
+    """The paths to w by source, for w and every vertex that reaches it; None for more than ``cap``.
 
     Sources are taken in reverse topological order: the paths from u are
     u joined to the paths from each successor x, for x ascending, which
-    lists them in lexicographic order. A source with more than ``cap``
-    paths gets the number ``cap``, read "more than cap paths", and raises
-    only when asked for; a later call with a larger cap builds it again.
+    lists them in lexicographic order. Only w's own entry, the one-vertex
+    path, ignores the cap; :func:`path_vertex_masks` checks its length.
     """
+    column: dict[int, list[int] | None] = {w: [1 << w]}
     inside = reach_to_masks(g)[w] | 1 << w
     succ = g.succ_masks
-    for u in reversed(topological_order(g)):
+    for u in reversed(g._order):
         if u == w or not inside >> u & 1:
-            continue
-        got = column.get(u)
-        if got is not None and (type(got) is list or got >= cap):
             continue
         bit = 1 << u
         out: list[int] = []
         for x in bits(succ[u] & inside):
             sub = column[x]
-            if type(sub) is not list or len(out) + len(sub) > cap:
-                column[u] = cap
+            if sub is None or len(out) + len(sub) > cap:
+                column[u] = None
                 break
             out += [bit | m for m in sub]
         else:
             column[u] = out
-    return column.setdefault(v, [])
+    return column
 
 
 def enumerate_paths(g: Dag, v: int, w: int, cap: int = DEFAULT_PATH_CAP) -> list[PathSeq]:

@@ -129,10 +129,10 @@ class TestPathTable:
         path_vertex_masks(diamond, 0, 3).clear()
         assert path_vertex_masks(diamond, 0, 3) == [0b1011, 0b1101]
 
-    def test_caps_share_one_table(self):
+    def test_caps_asked_in_turn(self):
         closed = transitive_closure(chain(6))  # 16 paths from 0 to 5, 8 from 0 to 4
         for caps in ((7, 16, 8, 15, 7), (16, 15, 8, 7, 16)):
-            g = Dag(6, closed.edges)  # a fresh table for each sequence of caps
+            g = Dag(6, closed.edges)  # fresh tables for each sequence of caps
             for cap in caps:
                 if cap < 16:
                     with pytest.raises(CapExceededError, match=f"more than {cap} paths from 0 to 5"):
@@ -144,6 +144,43 @@ class TestPathTable:
                         path_vertex_masks(g, 0, 4, cap)
                 else:
                     assert len(path_vertex_masks(g, 0, 4, cap)) == 8
+
+    def test_single_vertex_path_respects_the_cap(self):
+        g = chain(3)
+        for w in range(3):
+            with pytest.raises(CapExceededError, match=f"more than 0 paths from {w} to {w}"):
+                path_vertex_masks(g, w, w, 0)
+            assert path_vertex_masks(g, w, w, 1) == [1 << w]
+        assert path_vertex_masks(g, 2, 0, 0) == []
+        with pytest.raises(CapExceededError, match="more than -1 paths from 2 to 0"):
+            path_vertex_masks(g, 2, 0, -1)
+
+    def test_each_column_filled_once_per_cap(self, monkeypatch):
+        filled = []
+        fill = predicates._fill_paths
+
+        def counted(g, w, cap):
+            filled.append((w, cap))
+            return fill(g, w, cap)
+
+        monkeypatch.setattr(predicates, "_fill_paths", counted)
+        g = Dag(10, DIAMOND + CLOSED_CHAIN)
+        targets = [w for w in range(g.n) if graph.reach_to_masks(g)[w]]
+        for _ in range(2):
+            assert not is_reduced_bruteforce(g, 16)
+            assert not is_strongly_reduced_bruteforce(g, path_cap=16)
+        assert sorted(filled) == [(w, 16) for w in targets]
+        first = g._cache[("paths", 16)]
+        columns = dict(first)
+
+        # A second cap builds its own table and leaves the first one alone.
+        assert not is_reduced_bruteforce(g, 15)  # the diamond's pair (0, 3) fails first
+        with pytest.raises(CapExceededError, match="more than 15 paths from 4 to 9"):
+            path_vertex_masks(g, 4, 9, 15)
+        assert path_vertex_masks(g, 4, 9, 16) == plain_path_masks(g, 4, 9)
+        assert filled[len(targets):] == [(1, 15), (2, 15), (3, 15), (9, 15)]
+        assert g._cache[("paths", 16)] is first
+        assert all(first[w] is columns[w] for w in targets)
 
 
 class TestOrderedUnion:
@@ -443,8 +480,8 @@ class TestCapPrecedence:
 
     def test_same_outcomes_in_either_order(self, diamond):
         cases = [
-            (diamond, {1: "paths from 0 to 3", 2: False, DEFAULT_PATH_CAP: False}),
-            (transitive_closure(chain(6)), {15: "paths from 0 to 5", 16: True, DEFAULT_PATH_CAP: True}),
+            (diamond, {0: "0 paths from 0 to 1", 1: "paths from 0 to 3", 2: False, DEFAULT_PATH_CAP: False}),
+            (transitive_closure(chain(6)), {0: "0 paths from 0 to 1", 15: "paths from 0 to 5", 16: True, DEFAULT_PATH_CAP: True}),
         ]
         for base, want in cases:
             for caps in (list(want), list(want)[::-1]):
