@@ -25,8 +25,12 @@ from .errors import InvalidParamsError, LimitExceededError
 from .graph import Dag, Edge, _require_size, bits
 
 # The enumeration ceiling for every exhaustive sweep: n = 8 has 2^28
-# graphs, which the kernels sweep on one core of a 2-core x86 box in
-# 0.6 s (turan) to 45 s (closure); n = 9 has 2^36, 256 times as many.
+# graphs. On one core of a 2-core x86 box the edge-bound scans decide
+# them in about 0.01 s (turan) and 0.04 s (theorem, three classes), by
+# skipping the parent graphs that cannot reach the bound; the reach
+# sweeps visit every mask, in about 19 s (equiv-transitive) to 42 s
+# (closure).
+# n = 9 has 2^36, 256 times as many.
 MAX_ENUM_VERTICES = 8
 
 

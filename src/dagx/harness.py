@@ -9,10 +9,12 @@ oracles. The theorem, equiv-transitive, closure and separations sweeps
 read their class verdicts off the whole-block reach kernel of
 :mod:`dagx.kernels`, tested against the scalar predicates for n <= 6.
 Its input rows are bit fields of the enumeration index. The
-edge-bound scans (turan and theorem) read longest paths and edge counts
-off the level rows, start each running per-ell maximum one below the
-bound, and decode for the reach kernel only the masks that can attain or
-break it; a report gives no maximum where no member attains the bound.
+edge-bound scans (turan and theorem) list only the masks with at least
+the bound's edges at their longest path, from a kernel that skips every
+parent graph whose sink slab cannot reach the bound; theorem decides the
+listed masks of every n with one reach-kernel run, and each maximum is
+the largest member listed. A report gives no maximum where no member
+attains the bound.
 The box claim takes every geometric decision
 from :mod:`dagx.boxes` and works on its integer rows throughout: every
 family, random or extremal, goes through one pair walk, a random one's
@@ -76,7 +78,7 @@ from .predicates import (
     is_strongly_reduced,
     is_strongly_reduced_bruteforce,
 )
-from .kernels import _bit, _blocks, _levels_chunk, _pred_rows, _reach_verdicts
+from .kernels import _at_bound, _bit, _blocks, _pred_rows, _reach_verdicts
 
 DEFAULT_SEED = 271828
 
@@ -280,32 +282,59 @@ _CLASS_PREDICATES = {
 }
 
 
-def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
-    """Per-ell edge maxima of the members of ``klass`` (every DAG when None) and the graphs above the bound.
-
-    The running maximum starts at ``bound - 1``, so per ell the gate
-    passes the masks at or above the bound up to the block where a member
-    reaches it and the masks above it after that, every member that first
-    attains or breaks the bound; only those go to the reach kernel. A
-    maximum left at ``bound - 1`` means that no member reaches the bound.
-    """
+def _edge_bound(n: int, klass: str | None) -> np.ndarray:
+    """The bound at each ell = 0..n-1: t(n, ell + 1) over every DAG (``klass`` None), else 0 and then B(n, ell)."""
     if klass is None:
-        bound = np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
-        detail = lambda e, lv: f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound[lv]}"
-    else:
-        bound = np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
-        detail = lambda e, lv: f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}"
-    max_edges = bound - 1
-    sample = _Sample()
-    for a, b in _blocks(start, stop):
-        ell, edges = _levels_chunk(n, a, b)
-        hits = np.flatnonzero(edges > np.minimum(max_edges, bound).take(ell))
-        if klass is not None and hits.size:
-            hits = hits[getattr(_reach_verdicts(_pred_rows(n, a + hits)), klass)]
-        np.maximum.at(max_edges, ell[hits], edges[hits])
-        over = hits[edges[hits] > bound[ell[hits]]]
-        sample.extend(over.size, _mask_entries(n, a, over, lambda j: [detail(edges[j], ell[j])]))
-    return {"max_edges": max_edges.tolist(), "sample": sample}
+        return np.array([turan_graph_edges(n, lv + 1) for lv in range(n)], dtype=np.int8)
+    return np.array([0] + [reduced_dag_edge_bound(n, lv) for lv in range(1, n)], dtype=np.int8)
+
+
+def _scan_edge_bound(n: int, klass: str | None, start: int, stop: int) -> dict:
+    """Index, ell and edge count of every mask in start..stop-1 with at least the bound's edges at its ell."""
+    index, rows = _at_bound(n, _edge_bound(n, klass), start, stop)
+    return {"index": index, "ell": rows[1:].max(axis=0), "edges": rows[0], "sample": _Sample()}
+
+
+def _edge_bound_maxima(sweep: _Sweep, max_n: int, klass: str | None) -> Iterator[tuple[int, list[int | None]]]:
+    """Scan n = 1..max_n; per n, list the members of ``klass`` above the bound, then yield each ell's maximum.
+
+    A maximum is None where no member attains the bound: only the masks
+    at or above it are listed, and that is all a report needs. The graphs
+    above the bound go into ``sweep.sample`` in index order, each n's
+    before the n is yielded, so a caller's notes for that n follow them.
+
+    A class is decided by one run of the reach kernel over every n, each
+    listed index read as a ``max_n``-vertex graph. Proof that this reads
+    the same verdicts: the pair table nests (pair (u, v) is bit
+    C(v, 2) + u at any n), so an index below 2^C(n, 2) names, at
+    ``max_n`` vertices, the same edges plus the isolated vertices
+    n..max_n-1. An isolated vertex has no ancestor, descendant or
+    neighbour, so it is in no joined pair and no crossing quadruple, and
+    it breaks no transitivity: all four verdicts stay the same.
+    """
+    found = [
+        (n, *(np.concatenate([part[key] for part in parts]) for key in ("index", "ell", "edges")))
+        for n, parts in sweep.over_n(_scan_edge_bound, max_n, klass)
+    ]
+    if klass is not None:
+        member = getattr(_reach_verdicts(_pred_rows(max_n, np.concatenate([f[1] for f in found]))), klass)
+        cuts = np.cumsum([f[1].size for f in found])[:-1]
+        found = [(n, i[m], lv[m], e[m]) for (n, i, lv, e), m in zip(found, np.split(member, cuts))]
+    for n, index, ell, edges in found:
+        bound = _edge_bound(n, klass)
+        if klass is None:
+            detail = lambda e, lv: f"{e} edges with longest path {lv}, above t({n},{lv + 1}) = {bound[lv]}"
+        else:
+            detail = lambda e, lv: f"class {klass!r}: {e} edges at ell={lv}, above bound {bound[lv]}"
+        over = np.flatnonzero(edges > bound[ell])
+        entries = (
+            _graph_entry(dag_from_index(n, i), detail(e, lv))
+            for i, e, lv in zip(index[over].tolist(), edges[over], ell[over])
+        )
+        sweep.sample.extend(over.size, entries)
+        top = np.full(n, -1)
+        np.maximum.at(top, ell, edges)
+        yield n, [int(t) if t >= 0 else None for t in top]
 
 
 def verify_turan_bound(max_n: int = 7, *, workers: int = 1) -> VerificationReport:
@@ -313,16 +342,15 @@ def verify_turan_bound(max_n: int = 7, *, workers: int = 1) -> VerificationRepor
     _require_range("turan", max_n, MAX_ENUM_VERTICES)
     observed: dict[str, int | None] = {}
     with _Sweep(workers) as sweep:
-        for n, parts in sweep.over_n(_scan_edge_bound, max_n, None):
-            for lv in range(n):
+        for n, maxima in _edge_bound_maxima(sweep, max_n, None):
+            for lv, top in enumerate(maxima):
                 bound = turan_graph_edges(n, lv + 1)
-                top = max(part["max_edges"][lv] for part in parts)
-                observed[f"{n},{lv}"] = top if top >= bound else None
-                if top > bound:
-                    detail = f"max over n={n}, ell={lv} is {top}, expected t({n},{lv + 1}) = {bound}"
-                    sweep.sample.note(_graph_entry(None, detail))
-                elif top < bound:
+                observed[f"{n},{lv}"] = top
+                if top is None:
                     detail = f"no DAG attains the bound t({n},{lv + 1}) = {bound} at n={n}, ell={lv}"
+                    sweep.sample.note(_graph_entry(None, detail))
+                elif top > bound:
+                    detail = f"max over n={n}, ell={lv} is {top}, expected t({n},{lv + 1}) = {bound}"
                     sweep.sample.note(_graph_entry(None, detail))
                 g = turan_dag(n, lv + 1)
                 if len(g.edges) != bound or longest_path_length(g) != lv:
@@ -348,17 +376,17 @@ def verify_theorem_bound(max_n: int = 6, klass: str = "extremely", *, workers: i
     tightness: list[dict] = []
     predicate = _CLASS_PREDICATES[klass]
     with _Sweep(workers) as sweep:
-        for n, parts in sweep.over_n(_scan_edge_bound, max_n, klass):
+        for n, maxima in _edge_bound_maxima(sweep, max_n, klass):
             for lv in range(1, n):
                 bound = reduced_dag_edge_bound(n, lv)
-                top = max(part["max_edges"][lv] for part in parts)
+                top = maxima[lv]
                 instance = extremal_for(n, lv)
                 inst_edges = len(instance.edges)
                 row = {
                     "n": n,
                     "ell": lv,
                     "bound": bound,
-                    "class_max": top if top >= bound else None,
+                    "class_max": top,
                     "generator_edges": inst_edges,
                 }
                 if lv >= 2:
@@ -366,11 +394,11 @@ def verify_theorem_bound(max_n: int = 6, klass: str = "extremely", *, workers: i
                     row["alt_split_vertices"] = alt.vertex_count
                     row["alt_split_edges"] = alt.edge_count
                 tightness.append(row)
-                if top > bound:
-                    detail = f"class max at n={n}, ell={lv} is {top}, bound is {bound}"
-                    sweep.sample.note(_graph_entry(None, detail))
-                elif top < bound:
+                if top is None:
                     detail = f"no class member attains the bound {bound} at n={n}, ell={lv}"
+                    sweep.sample.note(_graph_entry(None, detail))
+                elif top > bound:
+                    detail = f"class max at n={n}, ell={lv} is {top}, bound is {bound}"
                     sweep.sample.note(_graph_entry(None, detail))
                 if inst_edges != bound or longest_path_length(instance) != lv or not predicate(instance):
                     detail = f"generated instance at n={n}, ell={lv} should attain {bound} edges inside the class"
@@ -811,8 +839,8 @@ def verify_box_props(trials: int = 1000, seed: int = DEFAULT_SEED, *, workers: i
     offender. The general families rarely contain a pair with both a
     common ancestor and a common descendant, so the middle claim may be
     checked vacuously; ``params["general_joined_pairs"]`` counts the
-    pairs it was checked on: 0 at seeds 0, 1, 5 and the default. ROADMAP item 4 replaces the
-    general trials once a benchmark change re-pins the ``boxes`` count."""
+    pairs it was checked on: 0 at seeds 0, 1, 5 and the default. ROADMAP items 6 and 7
+    delete and replace the general trials once a benchmark change re-pins the ``boxes`` count."""
     if trials < 0:
         raise InvalidParamsError(f"boxes: need trials >= 0, got {trials}")
     if seed < 0:

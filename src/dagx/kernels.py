@@ -27,6 +27,10 @@ when S is empty; the edge count is the parent's plus |S|. So
 whose table of every index fits in ``_TABLE_BYTES``, those come from a
 table cached on first use, each table built the same way from the one
 below; above, they are built per call from the rows one level down.
+
+The edge-bound scans need only the masks with at least the bound's edges
+at their longest path: :func:`_at_bound` lists them, and above the
+tables builds only the parents whose slab can still reach the bound.
 """
 
 from __future__ import annotations
@@ -40,14 +44,14 @@ import numpy as np
 from .generators import dag_count
 from .graph import bits
 
-# Masks per kernel call, for every kernel: large enough to amortise
-# numpy's per-call cost over the few hundred passes a block takes. On one
-# core of a 2-core x86 box, going from 8192 to 65536 masks cut the reach
-# kernel's time per mask at n = 8 by a factor of 2.7. With level rows from
-# sink extensions and predecessor rows decoded for the gated masks only,
-# verify_turan_bound(8) takes about 0.6 s and verify_theorem_bound(8, k)
-# about 0.75 s per class. A block's work arrays take a few MB: an n = 8
-# sweep peaks at 32.7 MB RSS (turan) and 32.9 MB (theorem).
+# Masks per reach-kernel call in the sweeps that visit every mask: large
+# enough to amortise numpy's per-call cost over the few hundred passes a
+# block takes. On one core of a 2-core x86 box, going from 8192 to 65536
+# masks cut the reach kernel's time per mask at n = 8 by a factor of 2.7.
+# A block's work arrays take a few MB. The edge-bound scans take no
+# blocks (see _at_bound): verify_turan_bound(8) and each
+# verify_theorem_bound(8, k) take about 0.01 s, and one process running
+# all four peaks at 36.7 MB RSS, as the blockwise scans did.
 _BLOCK = 65536
 
 # The largest level table kept for one n: n + 1 bytes per index, so
@@ -91,6 +95,20 @@ def _table(n: int) -> np.ndarray:
     return rows
 
 
+def _extend(slab: np.ndarray, s: int) -> None:
+    """Turn the parents' rows in ``slab[:-1]`` into the rows of their children with sink predecessor set ``s``.
+
+    The sink's level goes into the last row: ``1 + max(lev[u] for u in
+    S)``, or 0 when S is empty. The edge count gains |S|.
+    """
+    sink = slab[-1]
+    sink.fill(-1)
+    for u in bits(s):
+        np.maximum(sink, slab[1 + u], out=sink)
+    sink += 1
+    slab[0] += s.bit_count()
+
+
 def _sink_rows(n: int, start: int, stop: int, rows: np.ndarray | None = None) -> np.ndarray:
     """The level rows of start..stop-1 at n >= 2 vertices, built slab by slab from the parents' rows.
 
@@ -108,12 +126,7 @@ def _sink_rows(n: int, start: int, stop: int, rows: np.ndarray | None = None) ->
             slab[:-1] = _table(n - 1)[:, a:b]
         else:
             _sink_rows(n - 1, a, b, slab[:-1])
-        sink = slab[-1]
-        sink.fill(-1)
-        for u in bits(s):
-            np.maximum(sink, slab[1 + u], out=sink)
-        sink += 1
-        slab[0] += s.bit_count()
+        _extend(slab, s)
         j += b - a
     return rows
 
@@ -123,15 +136,49 @@ def _rows(n: int, start: int, stop: int) -> np.ndarray:
     return _table(n)[:, start:stop] if _table_fits(n) else _sink_rows(n, start, stop)
 
 
-def _levels_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(longest path length, edge count) of every mask in start..stop-1, as int8 arrays.
+def _at_bound(n: int, bound: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, rows) of the masks in start..stop-1 at n vertices with ``edges >= bound[ell]``, in index order.
 
-    ell is the largest ``lev`` row. By the sink recurrence of the module
-    docstring, a slab costs a copy of its parents' rows and |S| row
-    maxima, where a longest-path relaxation would take one pass per pair.
+    ``bound`` holds one integer per longest path length ell = 0..n-1.
+    ``rows`` holds the level rows of the listed masks, one column each:
+    ``rows[0]`` is the edge count, and ell is the largest of ``rows[1:]``.
+    Where the n-vertex table fits, the masks are read straight off it.
+    Above, each slab takes only the parents p with ``k_min[p] <= |S|``,
+    where, with ell_p and edges_p those of p,
+
+        k_min[p] = min(bound[f] for f >= ell_p) - edges_p.
+
+    Proof that this drops no listed mask: the child (p, S) keeps every
+    level of p, so its ell is ell_p, or the sink's level if that is
+    larger, and never below ell_p. Its edge count is edges_p + |S|. So
+    ``edges_p + |S| >= bound[ell_child] >= min(bound[f] for f >= ell_p)``
+    gives |S| >= k_min[p]. No S has more than n - 1 vertices, so a slab
+    can take only the parents with ``edges_p >= min(bound[f] for f >=
+    ell_p) - (n - 1)``. That is this same query one vertex down, with
+    that bound, so no parent that every slab skips is ever built.
     """
-    rows = _rows(n, start, stop)
-    return rows[1:].max(axis=0), rows[0].copy()
+    if _table_fits(n):
+        rows = _rows(n, start, stop)
+        hits = np.flatnonzero(rows[0] >= bound[rows[1:].max(axis=0)])
+        return start + hits, rows[:, hits]
+    floor = np.minimum.accumulate(bound[::-1])[::-1]
+    slabs = list(_slabs(n, start, stop))
+    lo, hi = min(a for _, a, _ in slabs), max(b for _, _, b in slabs)
+    parents, parent_rows = _at_bound(n - 1, floor[:-1] - (n - 1), lo, hi)
+    k_min = floor[parent_rows[1:].max(axis=0)] - parent_rows[0]
+    by_size = [(parents[k_min <= k], parent_rows[:, k_min <= k]) for k in range(n)]
+    c = comb(n - 1, 2)
+    index, rows = [], []
+    for s, a, b in slabs:
+        kept, kept_rows = by_size[s.bit_count()]
+        i, j = np.searchsorted(kept, (a, b))
+        slab = np.empty((n + 1, j - i), dtype=np.int8)
+        slab[:-1] = kept_rows[:, i:j]
+        _extend(slab, s)
+        hits = np.flatnonzero(slab[0] >= bound[slab[1:].max(axis=0)])
+        index.append((s << c) + kept[i:j][hits])
+        rows.append(slab[:, hits])
+    return np.concatenate(index), np.concatenate(rows, axis=1)
 
 
 def _pred_rows(n: int, index: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import inspect
 import json
 import sys
+import time
 from concurrent.futures import Future
 from itertools import combinations
 from math import comb
@@ -35,7 +36,7 @@ from dagx.generators import dag_count, dag_from_index
 from dagx.graph import format_edge_list, longest_path_length
 from dagx.predicates import is_extremely_reduced, is_reduced, is_strongly_reduced
 from dagx.harness import CHORDED_CHAIN_EDGES, _clique_edge_masks, _cover_within
-from dagx.kernels import _BLOCK, _blocks, _levels_chunk
+from dagx.kernels import _BLOCK, _blocks, _rows
 
 from conftest import CHORDED_CHAIN
 
@@ -90,8 +91,14 @@ class TestReportShape:
         assert report.ok and report.violations == []
 
 
+def levels_and_edges(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(longest path length, edge count) of every mask in start..stop-1, read off the kernel's level rows."""
+    rows = _rows(n, start, stop)
+    return rows[1:].max(axis=0), rows[0]
+
+
 def assert_levels_match_oracle(n: int, start: int, stop: int) -> None:
-    ell, edges = _levels_chunk(n, start, stop)
+    ell, edges = levels_and_edges(n, start, stop)
     assert ell.shape == edges.shape == (stop - start,)
     for j, mask in enumerate(range(start, stop)):
         g = dag_from_index(n, mask)
@@ -127,15 +134,15 @@ class TestLevelsKernel:
         start, stop = block - 37, 2 * block + 91
         runs = list(_blocks(start, stop))
         assert runs == [(start, start + block), (start + block, stop)]
-        whole = _levels_chunk(7, start, stop)
-        for got, want in zip(zip(*(_levels_chunk(7, a, b) for a, b in runs)), whole):
+        whole = levels_and_edges(7, start, stop)
+        for got, want in zip(zip(*(levels_and_edges(7, a, b) for a, b in runs)), whole):
             assert np.array_equal(np.concatenate(got), want)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_isolated_last_sink(self, n):
         # The first dag_count(n - 1) indices at n leave vertex n - 1 isolated,
         # which changes no level and no edge count.
-        for got, want in zip(_levels_chunk(n, 0, dag_count(n - 1)), _levels_chunk(n - 1, 0, dag_count(n - 1))):
+        for got, want in zip(levels_and_edges(n, 0, dag_count(n - 1)), levels_and_edges(n - 1, 0, dag_count(n - 1))):
             assert np.array_equal(got, want)
 
 
@@ -216,10 +223,10 @@ class TestTheoremAgainstDefinition:
 
     The reduced classes are checked against their scalar predicates; the
     Turan bound, over every DAG, against ``longest_path_length``. Each
-    check runs at the real block size, where n <= 6 fits in one block, and
-    again with 1000-mask blocks, so that the maximum is carried from block
-    to block; three workers cut n = 6 into shards that start inside a
-    block, run in process so that they see the patched block size.
+    check runs at the real block size and again with 1000-mask blocks,
+    which must change nothing; three workers cut n = 6 into shards that
+    start inside a slab, run in process so that they see the patched
+    block size.
     """
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -272,14 +279,30 @@ class TestTheoremAgainstDefinition:
             assert counted_violations(report, "edges with longest path") == expected
 
 
-class TestEdgeBoundGate:
-    """Each edge-bound scan starts its running maxima one below the bound.
+class TestEdgeBoundSpeed:
+    def test_n8_on_one_worker(self):
+        # The parent gate skips every parent whose slab cannot reach the
+        # bound, and the three classes take one reach-kernel run each. On
+        # a 2-core x86 box the per-mask gate took about 0.9 s for turan and
+        # 2.4 s for the three classes; the parent gate takes about 0.01 s
+        # and 0.04 s.
+        t0 = time.perf_counter()
+        assert verify_turan_bound(8).ok
+        t1 = time.perf_counter()
+        assert all(verify_theorem_bound(8, klass).ok for klass in THEOREM_CLASSES)
+        t2 = time.perf_counter()
+        assert t1 - t0 < 0.3
+        assert t2 - t1 < 0.6
 
-    Its gate then passes only the masks that can attain or break the
-    bound. Every test runs turan or a class at n <= 6, at one worker and at
-    three (shards that start inside a block, run in process so that they
-    see the patched block size), with the real block size and with
-    1000-mask blocks.
+
+class TestEdgeBoundGate:
+    """Each edge-bound scan lists only the masks at or above the bound.
+
+    Those are all it needs: the members among them give every maximum
+    that attains the bound and every graph above it. Every test runs
+    turan or a class at n <= 6, at one worker and at three (shards that
+    start inside a slab, run in process), with the real block size and
+    with 1000-mask blocks, which must change nothing.
     """
 
     @staticmethod
@@ -318,21 +341,30 @@ class TestEdgeBoundGate:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("klass", list(THEOREM_CLASSES))
     def test_kernel_sees_only_masks_at_the_bound(self, monkeypatch, pool_sizes, klass, workers, block):
+        # One reach-kernel run takes every n's masks as 6-vertex graphs, n
+        # ascending and each n's masks in index order. Each n lists the
+        # edgeless graph, index 0, first (0 edges at the bound 0 of ell 0),
+        # so the columns of n start at its index 0; each column is checked
+        # against the bound of its own n.
         sent = []
         real = harness._reach_verdicts
 
         def kernel(pred):
-            if pred.shape[0] == 6:
-                sent.extend(zip(*pred.tolist()))
+            sent.append(pred.copy())
             return real(pred)
 
         monkeypatch.setattr(harness, "_reach_verdicts", kernel)
         assert self.claim(klass, monkeypatch, block, workers).ok
-        assert sent
-        for rows in sent:
-            g = Dag(6, [(u, v) for v, row in enumerate(rows) for u in range(v) if row >> u & 1])
-            ell = longest_path_length(g)
-            assert len(g.edges) >= (reduced_dag_edge_bound(6, ell) if ell else 0), format_edge_list(g)
+        assert len(sent) == 1 and sent[0].shape[0] == 6
+        index = [sum(row << comb(v, 2) for v, row in enumerate(column)) for column in zip(*sent[0].tolist())]
+        starts = [j for j, i in enumerate(index) if i == 0]
+        assert len(starts) == 6 and starts[0] == 0
+        for n, (a, b) in enumerate(zip(starts, starts[1:] + [len(index)]), start=1):
+            assert index[a:b] == sorted(set(index[a:b]))
+            for i in index[a:b]:
+                g = dag_from_index(n, i)
+                ell = longest_path_length(g)
+                assert len(g.edges) >= (reduced_dag_edge_bound(n, ell) if ell else 0), format_edge_list(g)
 
     @pytest.mark.parametrize("block", [_BLOCK, 1000])
     @pytest.mark.parametrize("workers", [1, 3])

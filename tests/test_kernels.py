@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,17 @@ import dagx.kernels as kernels
 from dagx.errors import CycleError
 from dagx.generators import dag_count, dag_from_index
 from dagx.graph import levels, reach_to_masks
+from dagx.harness import _edge_bound
 from dagx.kernels import (
     _BLOCK,
     _TABLE_BYTES,
+    _at_bound,
     _blocks,
-    _levels_chunk,
     _pred_rows,
     _reach_verdicts,
     _row_dtype,
     _rows,
+    _sink_rows,
     _table,
     _table_fits,
 )
@@ -89,8 +93,8 @@ class TestReachKernel:
         ],
     )
     def test_gated_columns(self, n, start):
-        # The theorem scan decodes only the gated masks of a block, block
-        # start plus an increasing, unevenly spaced array of offsets.
+        # The theorem scan decodes only the masks at or above the bound: an
+        # increasing, unevenly spaced array of indices.
         hits = np.flatnonzero(np.arange(min(_BLOCK, dag_count(n))) % 1009 < 3)
         index = start + hits
         assert index.dtype == np.int64 and not np.array_equal(index, np.arange(index[0], index[-1] + 1))
@@ -111,6 +115,15 @@ class TestReachKernel:
             got = (c.transitive[mask], c.reduced[mask], c.strongly[mask], c.extremely[mask])
             want = (True, is_reduced(closed), is_strongly_reduced(closed), is_extremely_reduced(closed))
             assert got == want, (n, mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_isolated_vertices_keep_verdicts(self, n):
+        # The theorem scan reads every n's masks at its largest n: an index
+        # below 2^C(n, 2) names the same edges plus isolated vertices.
+        index = np.arange(dag_count(n))
+        small, large = _reach_verdicts(_pred_rows(n, index)), _reach_verdicts(_pred_rows(6, index))
+        for field in ("transitive", "reduced", "strongly", "extremely"):
+            assert np.array_equal(getattr(large, field), getattr(small, field)), field
 
     @pytest.mark.parametrize("block", [_BLOCK, 1000])
     def test_blocks_straddle(self, monkeypatch, block):
@@ -172,16 +185,76 @@ class TestSinkLevels:
         # The runs of _BLOCK masks a sweep cuts a range into start and end
         # inside slabs; together they give what one call over the range gives.
         monkeypatch.setattr(kernels, "_BLOCK", block)
-        whole = _levels_chunk(n, start, stop)
-        parts = [_levels_chunk(n, a, b) for a, b in _blocks(start, stop)]
-        assert len(parts) == -(-(stop - start) // block)
-        for got, want in zip(zip(*parts), whole):
-            assert np.array_equal(np.concatenate(got), want)
         rows = _rows(n, start, stop)
-        assert np.array_equal(whole[0], rows[1:].max(axis=0)) and np.array_equal(whole[1], rows[0])
+        parts = [_rows(n, a, b) for a, b in _blocks(start, stop)]
+        assert len(parts) == -(-(stop - start) // block)
+        assert np.array_equal(np.concatenate(parts, axis=1), rows)
         for j in range(0, stop - start, 97):
             g = dag_from_index(n, start + j)
             assert tuple(rows[1:, j].tolist()) == levels(g), (n, start + j)
+
+
+def edge_bounds(n: int) -> dict[str, np.ndarray]:
+    """The bounds the gate is tested at: Turan's and the reduced classes', each less one and plus one, and zero.
+
+    Two more reach the gate's edge cases. At C(n, 2) - 1 everywhere, the
+    listed masks include a parent one edge short of complete with every
+    vertex in S, whose k_min is the largest |S|, n - 1. Turan's reversed
+    falls with ell, so a parent can fail its own ell's bound and still
+    have a listed child at a larger ell.
+    """
+    turan, reduced = _edge_bound(n, None), _edge_bound(n, "reduced")
+    return {
+        "turan": turan,
+        "reduced": reduced,
+        "turan-1": turan - 1,
+        "reduced-1": reduced - 1,
+        "zero": np.zeros(n, dtype=np.int8),
+        "turan+1": turan + 1,
+        "reduced+1": reduced + 1,
+        "complete-1": np.full(n, comb(n, 2) - 1, dtype=np.int8),
+        "falling": turan[::-1],
+    }
+
+
+def assert_at_bound_is_full_gate(n: int, start: int, stop: int, rows: np.ndarray) -> None:
+    """``_at_bound`` lists what the gate on the full rows ``rows`` of start..stop-1 passes, at every test bound."""
+    for name, bound in edge_bounds(n).items():
+        want = np.flatnonzero(rows[0] >= bound[rows[1:].max(axis=0)])
+        index, got = _at_bound(n, bound, start, stop)
+        assert np.array_equal(index, start + want), (n, start, name)
+        assert np.array_equal(got, rows[:, want]), (n, start, name)
+
+
+class TestAtBound:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_mask(self, n):
+        assert_at_bound_is_full_gate(n, 0, dag_count(n), _rows(n, 0, dag_count(n)))
+
+    @pytest.mark.parametrize(
+        "n, start, stop",
+        [
+            (6, 3 * SLAB[6] + 17, 3 * SLAB[6] + 900),  # inside one slab of the table
+            (7, 9 * SLAB[7] + 5, 9 * SLAB[7] + 3000),  # inside one slab
+            (7, 3 * SLAB[7] + 100, 5 * SLAB[7] + 200),  # three slabs, starting and ending inside one
+            (7, dag_count(7) - 250, dag_count(7)),  # S = every vertex
+            (8, 5 * SLAB[8] + SLAB[7] - 250, 5 * SLAB[8] + SLAB[7] + 250),  # crosses the parents' slab only
+        ],
+    )
+    def test_ranges_inside_slabs(self, n, start, stop):
+        assert_at_bound_is_full_gate(n, start, stop, _rows(n, start, stop))
+
+    @pytest.mark.parametrize("start", [0, 77 * SLAB[8] + 12_345, dag_count(8) - SLAB[8]])
+    def test_n8_against_sink_rows(self, start):
+        assert_at_bound_is_full_gate(8, start, start + SLAB[8], _sink_rows(8, start, start + SLAB[8]))
+
+    def test_n8_builds_no_full_rows(self, monkeypatch):
+        # Above the tables, only the parents some slab takes are built, and
+        # only from the gate one vertex down: no run of full rows is built.
+        _table(6)
+        monkeypatch.setattr(kernels, "_sink_rows", None)
+        index, rows = _at_bound(8, edge_bounds(8)["reduced"], 0, dag_count(8))
+        assert 0 < index.size < 10_000 and rows.shape == (9, index.size)
 
 
 class TestTables:
